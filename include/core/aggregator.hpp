@@ -2,10 +2,15 @@
 //
 // An AggregatorSet partitions threads across K aggregators (contiguous
 // blocks or round-robin). A thread publishes its operation in its own
-// cache-line slot, then races for its aggregator's freezer lock. The winner
-// — the freezer — optionally backs off for the freezer-backoff window so the
+// cache-line slot, then races for its aggregator's freezer lock by
+// test-and-test-and-set: it attempts the lock only when it reads it free and
+// otherwise keeps spinning on its own slot, so waiters never bounce the lock
+// line while the freezer works. The winner — the freezer — backs off so the
 // batch can grow (§3.1: "a short backoff before freezing B to increase the
-// elimination degree"), then freezes the batch:
+// elimination degree"), but only until every live member of its aggregator
+// has announced: the freezer-backoff window is an upper bound, and a batch
+// that already holds everyone who could join freezes at once. Then it
+// freezes the batch:
 //   1. elimination — concurrent push/pop pairs exchange values directly,
 //      two slot writes per pair, never touching the shared structure;
 //   2. combining  — leftover same-direction operations are applied to the
@@ -38,7 +43,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
+#include <mutex>  // std::lock_guard
 #include <optional>
 #include <vector>
 
@@ -140,27 +147,25 @@ public:
                 // and only if we are still unserved (a freezer that beat us
                 // to the lock may have completed the op already).
                 Agg& old_agg = aggs_[recorded];
-                while (old_agg.lock.exchange(1, std::memory_order_acquire) !=
-                       0) {
-                    backoff.pause();
-                }
+                old_agg.lock.lock();
                 if (slot.state.load(std::memory_order_relaxed) <= kOpPop) {
                     slot.agg.store(static_cast<std::uint32_t>(cur),
                                    std::memory_order_relaxed);
                     recorded = cur;
                 }
-                old_agg.lock.store(0, std::memory_order_release);
+                old_agg.lock.unlock();
                 continue;  // state may have gone done meanwhile
             }
             Agg& agg = aggs_[cur];
-            if (agg.lock.exchange(1, std::memory_order_acquire) == 0) {
+            // TTAS: while the lock reads held, spin on our own slot instead.
+            if (agg.lock.try_lock()) {
                 // We are the freezer. A previous freezer may have served us
                 // between our load and the lock; only combine while our own
                 // op is still open.
                 if (slot.state.load(std::memory_order_relaxed) <= kOpPop) {
                     combine(agg, tune, apply_pushes, apply_pops);
                 }
-                agg.lock.store(0, std::memory_order_release);
+                agg.lock.unlock();
                 st = slot.state.load(std::memory_order_acquire);
                 if (st >= kDonePushed) return consume(slot, st);
             }
@@ -181,22 +186,18 @@ public:
     // Table 1 / the adaptive controller divide one counter by another.
     // Taking the lock per aggregator makes the four counters mutually
     // consistent and flushes every completed batch into the read (lock
-    // hand-off: the freezer's release store pairs with our acquire
-    // exchange). Held only for four relaxed loads, so a concurrent freezer
+    // hand-off: the freezer's release store pairs with our acquiring
+    // lock()). Held only for four relaxed loads, so a concurrent freezer
     // waits nanoseconds, and stats() never holds two locks at once.
     StatsSnapshot stats() const {
         StatsSnapshot s;
         for (std::size_t a = 0; a < num_aggs_; ++a) {
             Agg& agg = aggs_[a];
-            Backoff backoff;
-            while (agg.lock.exchange(1, std::memory_order_acquire) != 0) {
-                backoff.pause();
-            }
+            std::lock_guard lock(agg.lock);
             s.batches += agg.batches.load(std::memory_order_relaxed);
             s.batched_ops += agg.batched.load(std::memory_order_relaxed);
             s.eliminated_ops += agg.eliminated.load(std::memory_order_relaxed);
             s.combined_ops += agg.combined.load(std::memory_order_relaxed);
-            agg.lock.store(0, std::memory_order_release);
         }
         return s;
     }
@@ -207,6 +208,9 @@ private:
     static constexpr std::uint32_t kDonePushed = 3;
     static constexpr std::uint32_t kDoneValue = 4;
     static constexpr std::uint32_t kDoneEmpty = 5;
+    // Absent members the freezer backoff polls one by one (a stack array);
+    // an aggregator with more absentees waits the full window.
+    static constexpr std::size_t kMaxPolled = 64;
 
     struct alignas(kCacheLineSize) Slot {
         std::atomic<std::uint32_t> state{kIdle};
@@ -221,7 +225,7 @@ private:
     };
 
     struct alignas(kCacheLineSize) Agg {
-        std::atomic<std::uint32_t> lock{0};
+        SpinLock lock;
         std::size_t index = 0;
         std::vector<std::uint32_t> tids;  // members under the full active set
         // Scratch for the freezer; guarded by `lock`.
@@ -262,6 +266,44 @@ private:
         return tid * active / cfg_.max_threads;  // contiguous blocks
     }
 
+    // The op `s` holds if this aggregator's freezer may serve it (kOpPush or
+    // kOpPop), else kIdle. Adaptive: only ops pinned to `agg` count — a
+    // not-yet-migrated op from another view is its owner's job.
+    std::uint32_t pending_here(const Slot& s, std::size_t agg) const noexcept {
+        const std::uint32_t st = s.state.load(std::memory_order_acquire);
+        if (st != kOpPush && st != kOpPop) return kIdle;
+        if (cfg_.tuning != nullptr &&
+            s.agg.load(std::memory_order_relaxed) != agg) {
+            return kIdle;
+        }
+        return st;
+    }
+
+    // The freezer backoff: spin until every member in absent[0, n) has an
+    // op pending for `agg`, or `ns` pass. Only absent slots are polled:
+    // pending ones stay pending under the lock (see scan in combine()).
+    // With more absentees than `absent` holds, wait out the whole window.
+    void await_absent(std::size_t agg, std::uint32_t* absent, std::size_t n,
+                      std::uint64_t ns) const noexcept {
+        if (n > kMaxPolled) {
+            detail::spin_for_ns(ns);
+            return;
+        }
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::nanoseconds(ns);
+        do {
+            std::size_t left = 0;
+            for (std::size_t i = 0; i < n; ++i) {
+                if (pending_here(slots_[absent[i]], agg) == kIdle) {
+                    absent[left++] = absent[i];
+                }
+            }
+            n = left;
+            if (n == 0) return;
+            detail::cpu_relax();
+        } while (std::chrono::steady_clock::now() < deadline);
+    }
+
     std::optional<V> consume(Slot& slot, std::uint32_t st) {
         std::optional<V> r;
         if (st == kDoneValue) r = slot.out;
@@ -276,6 +318,10 @@ private:
         const std::vector<std::uint32_t>& members =
             adaptive ? tids_by_active_[tune.active - 1][agg.index] : agg.tids;
         std::size_t np = 0, nq = 0;
+        // Live members with nothing pending here at the last scan; counted
+        // past kMaxPolled but only the first kMaxPolled are recorded.
+        std::uint32_t absent[kMaxPolled];
+        std::size_t na = 0;
         // Member lists are ascending, so every live slot sits in the prefix
         // below the tid high-water mark — stop there instead of walking all
         // max_threads entries. A stale (smaller) view can only miss a
@@ -287,7 +333,7 @@ private:
             // slot pinned (or statically assigned) to it, and an owner
             // needs the same lock to re-point its pin — pending slots stay
             // pending across the backoff.
-            np = nq = 0;
+            np = nq = na = 0;
             const std::size_t m = members.size();
             for (std::size_t j = 0; j < m; ++j) {
                 const std::uint32_t t = members[j];
@@ -297,17 +343,11 @@ private:
                 if (j + 1 < m && members[j + 1] < hwm) {
                     prefetch(&slots_[members[j + 1]]);
                 }
-                Slot& s = slots_[t];
-                const std::uint32_t st =
-                    s.state.load(std::memory_order_acquire);
-                if (st != kOpPush && st != kOpPop) continue;
-                // Adaptive: serve only ops pinned to this aggregator; a
-                // not-yet-migrated op from another view is its owner's job.
-                if (adaptive &&
-                    s.agg.load(std::memory_order_relaxed) != agg.index) {
-                    continue;
-                }
-                if (st == kOpPush) {
+                const std::uint32_t st = pending_here(slots_[t], agg.index);
+                if (st == kIdle) {
+                    if (na < kMaxPolled) absent[na] = t;
+                    ++na;
+                } else if (st == kOpPush) {
                     agg.scratch_push[np++] = t;
                 } else {
                     agg.scratch_pop[nq++] = t;
@@ -315,9 +355,10 @@ private:
             }
         };
         scan();
-        if (tune.backoff_ns > 0 && np + nq > 1) {
-            // Freezer backoff: let the batch fill before freezing it.
-            detail::spin_for_ns(tune.backoff_ns);
+        if (tune.backoff_ns > 0 && np + nq > 1 && na > 0) {
+            // Freezer backoff: let the batch fill before freezing it, but
+            // only while some live member can still join.
+            await_absent(agg.index, absent, na, tune.backoff_ns);
             scan();
         }
         const std::size_t batch = np + nq;

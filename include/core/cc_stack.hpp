@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <mutex>  // std::lock_guard
 #include <optional>
 #include <vector>
 
@@ -126,12 +127,8 @@ private:
     }
 
     void track(CcNode* n) {
-        detail::Backoff backoff;
-        while (alloc_lock_.test_and_set(std::memory_order_acquire)) {
-            backoff.pause();
-        }
+        std::lock_guard lock(alloc_lock_);
         allocated_.push_back(n);
-        alloc_lock_.clear(std::memory_order_release);
     }
 
     // Per-thread recycled node; indexed by the process-wide tid so id reuse
@@ -139,7 +136,7 @@ private:
     CacheAligned<std::atomic<CcNode*>> nodes_[kMaxThreads] = {};
     alignas(kCacheLineSize) std::atomic<CcNode*> tail_{nullptr};
     detail::SeqStack<V> seq_;  // only touched by the current combiner
-    std::atomic_flag alloc_lock_ = ATOMIC_FLAG_INIT;
+    detail::SpinLock alloc_lock_;
     std::vector<CcNode*> allocated_;
 };
 

@@ -147,6 +147,26 @@ private:
     int spins_ = 0;
 };
 
+// Test-and-test-and-set spin lock (BasicLockable, so std::lock_guard works).
+// try_lock() attempts the exchange only when a plain load reads the lock
+// free: waiters spin on a shared copy of the line instead of stealing it
+// from the holder with a write on every probe.
+class SpinLock {
+public:
+    bool try_lock() noexcept {
+        return !held_.load(std::memory_order_relaxed) &&
+               !held_.exchange(true, std::memory_order_acquire);
+    }
+    void lock() noexcept {
+        Backoff backoff;
+        while (!try_lock()) backoff.pause();
+    }
+    void unlock() noexcept { held_.store(false, std::memory_order_release); }
+
+private:
+    std::atomic<bool> held_{false};
+};
+
 // Busy-wait roughly `ns` nanoseconds (used for the freezer backoff window and
 // elimination rendezvous; precision beyond steady_clock granularity is not
 // needed).

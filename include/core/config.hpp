@@ -51,8 +51,11 @@ struct Config {
     //   legal range: the two enumerators above · paper: §3.2 prose
     //   ("evenly"); `secbench ablation_mapping` compares the two.
     AggregatorMapping mapping = AggregatorMapping::kContiguous;
-    // Backoff the freezer executes before freezing a batch, to let the
-    // batch grow and raise the elimination degree.
+    // Upper bound on the backoff the freezer executes before freezing a
+    // batch, to let the batch grow and raise the elimination degree. The
+    // wait ends early once every live member of the aggregator (tid below
+    // the thread-id high-water mark) has an op pending, and is skipped for
+    // a batch of one.
     //   unit: nanoseconds (busy-wait, steady_clock granularity) · legal
     //   range: [0, kMaxFreezerBackoffNs], validate() throws above it — 0
     //   DISABLES the wait entirely (freeze immediately; the backoff branch

@@ -75,13 +75,10 @@ private:
         const std::size_t id = detail::tid();
         if (id >= max_threads_) {
             // No publication slot for this thread: take the lock outright.
-            detail::Backoff backoff;
-            while (lock_.exchange(1, std::memory_order_acquire) != 0) {
-                backoff.pause();
-            }
+            lock_.lock();
             std::optional<V> r = seq_.apply(to_op(op), v);
             combine();  // serve whoever queued up behind us
-            lock_.store(0, std::memory_order_release);
+            lock_.unlock();
             return r;
         }
         Slot& slot = slots_[id];
@@ -91,9 +88,9 @@ private:
         for (;;) {
             const std::uint32_t st = slot.state.load(std::memory_order_acquire);
             if (st >= kDone) return consume(slot, st);
-            if (lock_.exchange(1, std::memory_order_acquire) == 0) {
+            if (lock_.try_lock()) {
                 combine();
-                lock_.store(0, std::memory_order_release);
+                lock_.unlock();
                 // combine() scans every slot, ours included, so we are done.
                 const std::uint32_t fin =
                     slot.state.load(std::memory_order_acquire);
@@ -138,7 +135,7 @@ private:
 
     std::size_t max_threads_;
     std::unique_ptr<Slot[]> slots_;
-    alignas(kCacheLineSize) std::atomic<std::uint32_t> lock_{0};
+    alignas(kCacheLineSize) detail::SpinLock lock_;
     Seq seq_;  // guarded by lock_
 };
 

@@ -81,7 +81,7 @@ private:
     };
 
     struct alignas(kCacheLineSize) LimboList {
-        std::atomic_flag lock = ATOMIC_FLAG_INIT;
+        sec::detail::SpinLock lock;
         Chunk* head = nullptr;  // oldest
         Chunk* tail = nullptr;  // newest (append target)
         std::uint32_t retires_since_scan = 0;

@@ -128,7 +128,7 @@ private:
     };
 
     struct alignas(kCacheLineSize) RetiredList {
-        std::atomic_flag lock = ATOMIC_FLAG_INIT;
+        sec::detail::SpinLock lock;
         std::vector<detail::RetiredPtr> items;
         std::uint32_t retires_since_scan = 0;
     };

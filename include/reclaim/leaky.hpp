@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>  // std::lock_guard
 #include <string_view>
 #include <vector>
 
@@ -49,7 +50,7 @@ public:
     void retire_erased(void* p, void (*deleter)(void*)) {
         const std::size_t id = sec::detail::tid();
         counters_.note_retired();
-        detail::SpinLockGuard lock(lists_[id].lock);
+        std::lock_guard lock(lists_[id].lock);
         lists_[id].items.push_back({p, deleter});
     }
 
@@ -63,7 +64,7 @@ public:
 
 private:
     struct alignas(kCacheLineSize) RetiredList {
-        std::atomic_flag lock = ATOMIC_FLAG_INIT;
+        sec::detail::SpinLock lock;
         std::vector<detail::RetiredPtr> items;
     };
 

@@ -149,22 +149,6 @@ private:
 
 namespace detail {
 
-// Spin-then-yield lock guard for the per-thread limbo lists every domain
-// keeps (uncontended except when drain_all sweeps foreign lists).
-struct SpinLockGuard {
-    explicit SpinLockGuard(std::atomic_flag& f) noexcept : flag(f) {
-        sec::detail::Backoff backoff;
-        while (flag.test_and_set(std::memory_order_acquire)) {
-            backoff.pause();
-        }
-    }
-    ~SpinLockGuard() { flag.clear(std::memory_order_release); }
-    SpinLockGuard(const SpinLockGuard&) = delete;
-    SpinLockGuard& operator=(const SpinLockGuard&) = delete;
-
-    std::atomic_flag& flag;
-};
-
 // CAS-max of `candidate` into `hwm` (the limbo high-water mark tracker).
 inline void raise_hwm(std::atomic<std::uint64_t>& hwm,
                       std::uint64_t candidate) noexcept {

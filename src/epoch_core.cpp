@@ -2,6 +2,8 @@
 // engine behind EpochDomain (EBR) and QsbrDomain.
 #include "reclaim/epoch_core.hpp"
 
+#include <mutex>  // std::lock_guard
+
 namespace sec::reclaim::detail {
 
 EpochCore::~EpochCore() {
@@ -75,7 +77,7 @@ void EpochCore::sweep(std::size_t i, std::uint64_t limit) {
     LimboList& list = limbo_[i];
     Chunk* reclaim = nullptr;
     {
-        SpinLockGuard lock(list.lock);
+        std::lock_guard lock(list.lock);
         if (limit == kInactive) {
             reclaim = list.head;
             list.head = list.tail = nullptr;
@@ -121,7 +123,7 @@ void EpochCore::retire_erased(void* p, void (*deleter)(void*)) {
     bool scan = false;
     {
         LimboList& list = limbo_[id];
-        SpinLockGuard lock(list.lock);
+        std::lock_guard lock(list.lock);
         if (list.tail == nullptr || list.tail->count == kChunkSize) {
             auto* chunk = new Chunk;  // default-init: skip zeroing entries[]
             if (list.tail != nullptr) {

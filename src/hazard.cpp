@@ -2,6 +2,7 @@
 #include "reclaim/hazard.hpp"
 
 #include <algorithm>
+#include <mutex>  // std::lock_guard
 
 namespace sec::reclaim {
 
@@ -42,7 +43,7 @@ void HazardDomain::scan(std::size_t id) {
     // use.
     std::vector<detail::RetiredPtr> work;
     {
-        detail::SpinLockGuard lock(lists_[id].lock);
+        std::lock_guard lock(lists_[id].lock);
         work.swap(lists_[id].items);
     }
     std::vector<void*> hazards;
@@ -59,7 +60,7 @@ void HazardDomain::scan(std::size_t id) {
         }
     }
     if (!keep.empty()) {
-        detail::SpinLockGuard lock(lists_[id].lock);
+        std::lock_guard lock(lists_[id].lock);
         lists_[id].items.insert(lists_[id].items.end(), keep.begin(),
                                 keep.end());
     }
@@ -72,7 +73,7 @@ void HazardDomain::retire_erased(void* p, void (*deleter)(void*)) {
     counters_.note_retired();
     bool scan_now = false;
     {
-        detail::SpinLockGuard lock(lists_[id].lock);
+        std::lock_guard lock(lists_[id].lock);
         lists_[id].items.push_back({p, deleter});
         if (++lists_[id].retires_since_scan >= kScanInterval) {
             lists_[id].retires_since_scan = 0;

@@ -3,6 +3,8 @@
 // identical on every endianness and never type-puns the stream buffer.
 #include "net/protocol.hpp"
 
+#include <algorithm>
+
 namespace sec::net {
 namespace {
 
@@ -55,7 +57,10 @@ std::size_t payload_size(MsgType type) noexcept {
 
 void encode(const Message& msg, std::vector<std::uint8_t>& out) {
     const std::size_t payload = payload_size(msg.type);
-    out.reserve(out.size() + kHeaderBytes + payload);
+    // One reallocation per frame at most, and geometric: reserving exactly
+    // the frame would copy a connection's whole output buffer per reply.
+    const std::size_t need = out.size() + kHeaderBytes + payload;
+    if (need > out.capacity()) out.reserve(std::max(need, 2 * out.capacity()));
     put_u32(out, static_cast<std::uint32_t>(payload));
     put_u8(out, static_cast<std::uint8_t>(msg.type));
     put_u64(out, msg.tag);

@@ -103,6 +103,28 @@ TEST(NetCodec, DecodesAStreamOfBackToBackFrames) {
     EXPECT_EQ(off, wire.size());
 }
 
+// A connection's output buffer appends reply after reply; encode must let
+// it grow geometrically instead of reallocating (and copying) per frame.
+TEST(NetCodec, AppendingFramesGrowsTheBufferGeometrically) {
+    Message msg;
+    msg.type = MsgType::kPopResp;
+    msg.ok = true;
+    std::vector<std::uint8_t> wire;
+    std::size_t capacity = wire.capacity();
+    int reallocations = 0;
+    for (std::uint64_t i = 0; i < 100000; ++i) {
+        msg.tag = i;
+        msg.value = i;
+        encode(msg, wire);
+        if (wire.capacity() != capacity) {
+            capacity = wire.capacity();
+            ++reallocations;
+        }
+    }
+    EXPECT_EQ(wire.size(), 100000 * (kHeaderBytes + payload_size(msg.type)));
+    EXPECT_LE(reallocations, 64);
+}
+
 // The stream reader's torn-read contract: any strict prefix of a frame is
 // kNeedMore with nothing consumed, and the frame decodes intact once the
 // last byte arrives — byte-at-a-time delivery (the TCP worst case) works.

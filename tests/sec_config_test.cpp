@@ -1,7 +1,9 @@
 // sec_config_test.cpp — Config validation and the stats plumbing behind
 // bench/table1_degrees.cpp: aggregator counts 1-5, both mapping modes, and
 // collect_stats yielding non-zero batching/elimination degrees on an
-// update-heavy mix.
+// update-heavy mix. Also the freezer hand-off: the backoff window ends once
+// every live member has announced, still runs out when one never does, and
+// the freezer lock survives many threads racing for it.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +13,7 @@
 #include <thread>  // std::this_thread::yield
 #include <vector>
 
+#include "container_checkers.hpp"
 #include "exec/worker_pool.hpp"
 #include "sec.hpp"
 
@@ -193,6 +196,143 @@ TEST(SecConfigTest, StatsSnapshotIsConsistentUnderConcurrentLoad) {
     }
     stop.store(true, std::memory_order_relaxed);
     workers.join();
+    EXPECT_GT(stack.stats().batches, 0u);
+}
+
+// The freezer tests below need to know which aggregator each thread lands
+// in. Thread ids are handed out lowest-free-first, so with the main thread
+// registered (it holds a tid from any earlier test, or takes it here) and
+// `workers` more threads alive at once, the live ids are exactly
+// [0, workers + 1). Under contiguous mapping with 2 aggregators over
+// max_threads = workers + 1, the upper half of those ids form aggregator 1
+// and the main thread sits idle in aggregator 0. Each worker runs
+// `member(i)` with i its index within aggregator 1, or nothing when it landed
+// in aggregator 0; it keeps its id until every worker is done.
+template <class Member>
+unsigned run_on_aggregator_one(unsigned workers, Member&& member) {
+    (void)sec::detail::tid();
+    const std::size_t first = (workers + 1) / 2;  // agg 1: [first, workers]
+    std::atomic<unsigned> in_agg1{0};
+    sec::exec::WorkerPool::run(workers, [&](sec::exec::WorkerContext& wc) {
+        const std::size_t id = sec::detail::tid();
+        wc.sync();  // every worker holds its id before any op runs
+        if (id >= first && id <= workers) {
+            in_agg1.fetch_add(1, std::memory_order_relaxed);
+            member(static_cast<unsigned>(id - first));
+        }
+        wc.sync();  // idle members stay live until the batch work is done
+    });
+    return in_agg1.load();
+}
+
+sec::Config aggregator_one_config(unsigned workers,
+                                  std::uint64_t backoff_ns) {
+    sec::Config cfg;
+    cfg.num_aggregators = 2;
+    cfg.max_threads = workers + 1;
+    cfg.mapping = sec::AggregatorMapping::kContiguous;
+    cfg.freezer_backoff_ns = backoff_ns;
+    cfg.collect_stats = true;
+    return cfg;
+}
+
+// With at most two members announcing, every batch beyond one op per batch
+// is a batch of two.
+std::uint64_t batches_of_two(const sec::StatsSnapshot& s) {
+    return s.batched_ops - s.batches;
+}
+
+// Push/pop pairs until `target` batches of two have frozen or `deadline`
+// passes; returns the ops done.
+std::uint64_t pair_until(Stack& stack, unsigned member, std::uint64_t target,
+                         std::chrono::steady_clock::time_point deadline) {
+    std::uint64_t ops = 0;
+    for (std::uint32_t i = 0;
+         batches_of_two(stack.stats()) < target &&
+         std::chrono::steady_clock::now() < deadline;
+         ++i) {
+        stack.push(sec::testing::tag(member, i));
+        (void)stack.pop();
+        ops += 2;
+    }
+    return ops;
+}
+
+// Both live members of aggregator 1 keep announcing, so any batch of two
+// holds everyone who could join: the freezer must freeze it at once instead
+// of spinning out a window of seconds (the main thread, idle but live, is
+// mapped to aggregator 0 and must not hold the batch back). One batch that
+// waited out the window would alone take longer than the whole run.
+TEST(SecConfigTest, FreezerBackoffEndsOnceEveryLiveMemberAnnounced) {
+    constexpr unsigned kWorkers = 3;  // ids 1..3; aggregator 1 = {2, 3}
+    constexpr std::uint64_t kWindowNs = 10'000'000'000;  // 10 s
+    Stack stack(aggregator_one_config(kWorkers, kWindowNs));
+
+    const auto t0 = std::chrono::steady_clock::now();
+    std::atomic<std::uint64_t> ops{0};
+    const unsigned members = run_on_aggregator_one(kWorkers, [&](unsigned m) {
+        ops += pair_until(stack, m, 1000, t0 + std::chrono::seconds(2));
+    });
+    const auto elapsed = std::chrono::steady_clock::now() - t0;
+    ASSERT_EQ(members, 2u) << "thread ids were not handed out lowest-first";
+
+    const sec::StatsSnapshot s = stack.stats();
+    EXPECT_EQ(s.batched_ops, ops.load());
+    if (batches_of_two(s) == 0) GTEST_SKIP() << "the members never overlapped";
+    EXPECT_LT(elapsed, std::chrono::nanoseconds(kWindowNs))
+        << batches_of_two(s) << " batches of two";
+}
+
+// Aggregator 1 has three live members; one never announces. Batches of the
+// other two must still freeze once the window runs out (liveness), and
+// each must have waited the whole window: an idle member is not proof that
+// nobody else will join.
+TEST(SecConfigTest, FreezerBackoffWaitsTheWindowForAnIdleLiveMember) {
+    constexpr unsigned kWorkers = 5;  // ids 1..5; aggregator 1 = {3, 4, 5}
+    constexpr std::uint64_t kWindowNs = 2'000'000;  // 2 ms
+    Stack stack(aggregator_one_config(kWorkers, kWindowNs));
+
+    const auto t0 = std::chrono::steady_clock::now();
+    std::atomic<std::uint64_t> ops{0};
+    const unsigned members = run_on_aggregator_one(kWorkers, [&](unsigned m) {
+        if (m == 2) return;  // the idle member
+        ops += pair_until(stack, m, 20, t0 + std::chrono::seconds(10));
+    });
+    const auto elapsed = std::chrono::steady_clock::now() - t0;
+    ASSERT_EQ(members, 3u) << "thread ids were not handed out lowest-first";
+
+    const sec::StatsSnapshot s = stack.stats();
+    EXPECT_EQ(s.batched_ops, ops.load());
+    if (batches_of_two(s) == 0) GTEST_SKIP() << "the members never overlapped";
+    EXPECT_GE(elapsed, std::chrono::nanoseconds(kWindowNs * batches_of_two(s)));
+}
+
+// Many threads race for one aggregator's freezer lock while a reader takes
+// it through stats(): every value comes out exactly once.
+TEST(SecConfigTest, FreezerLockChurnOnOneAggregatorConservesValues) {
+    sec::Config cfg;
+    cfg.num_aggregators = 1;
+    cfg.max_threads = 64;
+    cfg.collect_stats = true;
+    Stack stack(cfg);
+
+    std::atomic<bool> stop{false};
+    sec::exec::PoolOptions ro;
+    ro.coordinator_in_barrier = false;
+    sec::exec::WorkerPool reader(1, ro);
+    reader.start([&stack, &stop](sec::exec::WorkerContext&) {
+        while (!stop.load(std::memory_order_relaxed)) {
+            const sec::StatsSnapshot s = stack.stats();
+            ASSERT_EQ(s.eliminated_ops + s.combined_ops, s.batched_ops);
+            std::this_thread::yield();
+        }
+    });
+    const sec::testing::ChurnResult r =
+        sec::testing::churn(stack, /*threads=*/16, /*ops_per_thread=*/5000);
+    stop.store(true, std::memory_order_relaxed);
+    reader.join();
+
+    sec::testing::expect_conserved(r);
     EXPECT_GT(stack.stats().batches, 0u);
 }
 

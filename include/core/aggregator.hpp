@@ -16,6 +16,10 @@
 //   2. combining  — leftover same-direction operations are applied to the
 //      backing structure in ONE batched call (a single CAS on a Treiber
 //      spine for an arbitrarily long run of pushes or pops).
+// An op that can share no batch skips all of this and is applied directly:
+// the op of a thread that is its aggregator's only live member (static
+// configurations), and the op of a thread past Config::max_threads, which
+// has no slot.
 // Per-batch degree counters back the paper's Table 1. Every knob (count,
 // unit, legal range, paper section) is documented on sec::Config
 // (core/config.hpp); this engine consumes it verbatim — K is
@@ -29,16 +33,18 @@
 // frozen at construction. Threads map into the active prefix [0, active).
 // Because freezers running under different active-count views may scan
 // overlapping member lists during a transition, ownership of a pending op
-// is pinned by the OWNER: each slot records the aggregator index its op was
-// published to (written before the pending release-store), and a freezer
-// serves only slots recorded for it — plain loads, no hot-path RMW. When
-// the mapping moves under a waiting owner, the owner re-points its record
+// is pinned by the OWNER: the pending state word carries the aggregator
+// index the op was published to, and a freezer serves only slots pinned to
+// it — plain loads, no hot-path RMW. One word for both means a freezer can
+// never pair one op's kind with another op's pin: an owner whose op another
+// aggregator completed may already have published its next one. When
+// the mapping moves under a waiting owner, the owner re-points its pin
 // under the OLD aggregator's lock (so no freezer of the old index is
 // mid-scan) after re-checking it is still unserved; it re-maps every spin
 // iteration and always scans its own slot once it takes a freezer lock, so
 // an op stranded by a shrink always rescues itself. Static configurations
-// (tuning == nullptr) skip the record entirely and keep the original
-// protocol and its exact performance.
+// (tuning == nullptr) always pin 0 and keep the original protocol and its
+// exact performance.
 #pragma once
 
 #include <algorithm>
@@ -97,6 +103,7 @@ public:
             }
             agg.scratch_push = std::make_unique<std::uint32_t[]>(cap);
             agg.scratch_pop = std::make_unique<std::uint32_t[]>(cap);
+            agg.scratch_absent = std::make_unique<std::uint32_t[]>(cap);
             agg.scratch_vals = std::make_unique<V[]>(cap);
         }
     }
@@ -104,15 +111,11 @@ public:
     std::size_t num_aggregators() const noexcept { return num_aggs_; }
     const Config& config() const noexcept { return cfg_; }
 
-    // True when `tid` has no publication slot (more live threads than
-    // Config::max_threads); callers must take their direct fallback path.
-    bool is_overflow(std::size_t tid) const noexcept {
-        return tid >= cfg_.max_threads;
-    }
-
     // Run one operation through the batching protocol. `apply_pushes(agg,
     // vals, n)` must push n values onto the backing structure; `apply_pops(
     // agg, out, n)` must pop up to n values, returning how many it got.
+    // Both must be safe to call concurrently with each other: an op that
+    // can share no batch bypasses the freezer lock (see below).
     // Returns the popped value for kOpPop (nullopt: empty), nullopt for push.
     template <class ApplyPushes, class ApplyPops>
     std::optional<V> execute(std::uint32_t op, const V& in,
@@ -120,17 +123,27 @@ public:
                              ApplyPops&& apply_pops) {
         const bool adaptive = cfg_.tuning != nullptr;
         const std::size_t id = detail::tid();
+        // A thread past Config::max_threads has no slot; it applies its op
+        // directly, as aggregator 0, and is not counted.
+        if (SEC_UNLIKELY(id >= cfg_.max_threads)) {
+            return apply_one(0, op, in, apply_pushes, apply_pops);
+        }
         Slot& slot = slots_[id];
         Tune tune = current_tune();
         std::size_t recorded = agg_of(id, tune.active);
-        slot.in = in;
-        if (adaptive) {
-            // Pin the op to one aggregator index before it becomes visible;
-            // the pending release-store below publishes both together.
-            slot.agg.store(static_cast<std::uint32_t>(recorded),
-                           std::memory_order_relaxed);
+        if (!adaptive && alone_in(aggs_[recorded])) {
+            // Nobody else can join our batch, so publishing, the freezer
+            // lock and the scan would buy nothing: apply the op directly.
+            // Counted as a batch of one, as the protocol would.
+            if (cfg_.collect_stats) {
+                std::lock_guard lock(aggs_[recorded].lock);
+                count_batch(aggs_[recorded], 1, 0);
+            }
+            return apply_one(recorded, op, in, apply_pushes, apply_pops);
         }
-        slot.state.store(op, std::memory_order_release);
+        slot.in = in;
+        slot.state.store(adaptive ? pinned(op, recorded) : op,
+                         std::memory_order_release);
         Backoff backoff;
         for (;;) {
             std::uint32_t st = slot.state.load(std::memory_order_acquire);
@@ -141,16 +154,15 @@ public:
             const std::size_t cur =
                 adaptive ? agg_of(id, tune.active) : recorded;
             if (SEC_UNLIKELY(adaptive && cur != recorded)) {
-                // The active count moved under us: re-point our record to
+                // The active count moved under us: re-point our pin to
                 // the current aggregator, under the OLD one's lock so no
                 // freezer of the old index can be scanning concurrently —
                 // and only if we are still unserved (a freezer that beat us
                 // to the lock may have completed the op already).
                 Agg& old_agg = aggs_[recorded];
                 old_agg.lock.lock();
-                if (slot.state.load(std::memory_order_relaxed) <= kOpPop) {
-                    slot.agg.store(static_cast<std::uint32_t>(cur),
-                                   std::memory_order_relaxed);
+                if (is_pending(slot.state.load(std::memory_order_relaxed))) {
+                    slot.state.store(pinned(op, cur), std::memory_order_release);
                     recorded = cur;
                 }
                 old_agg.lock.unlock();
@@ -162,7 +174,7 @@ public:
                 // We are the freezer. A previous freezer may have served us
                 // between our load and the lock; only combine while our own
                 // op is still open.
-                if (slot.state.load(std::memory_order_relaxed) <= kOpPop) {
+                if (is_pending(slot.state.load(std::memory_order_relaxed))) {
                     combine(agg, tune, apply_pushes, apply_pops);
                 }
                 agg.lock.unlock();
@@ -203,23 +215,26 @@ public:
     }
 
 private:
-    // Slot states: 0 idle, kOpPush/kOpPop pending, >= kDonePushed terminal.
+    // Slot states: 0 idle; pending = kOpPush/kOpPop | pin << kPinShift,
+    // where the pin is the aggregator index the op is published to (always
+    // 0 in static configurations); >= kDonePushed terminal.
     static constexpr std::uint32_t kIdle = 0;
-    static constexpr std::uint32_t kDonePushed = 3;
-    static constexpr std::uint32_t kDoneValue = 4;
-    static constexpr std::uint32_t kDoneEmpty = 5;
-    // Absent members the freezer backoff polls one by one (a stack array);
-    // an aggregator with more absentees waits the full window.
-    static constexpr std::size_t kMaxPolled = 64;
+    static constexpr std::uint32_t kOpMask = 3;
+    static constexpr unsigned kPinShift = 2;
+    static constexpr std::uint32_t kDonePushed = 32;
+    static constexpr std::uint32_t kDoneValue = 33;
+    static constexpr std::uint32_t kDoneEmpty = 34;
+    static_assert((kMaxAggregators << kPinShift) < kDonePushed);
+
+    static constexpr std::uint32_t pinned(std::uint32_t op, std::size_t agg) {
+        return op | static_cast<std::uint32_t>(agg << kPinShift);
+    }
+    static constexpr bool is_pending(std::uint32_t st) {
+        return st != kIdle && st < kDonePushed;
+    }
 
     struct alignas(kCacheLineSize) Slot {
         std::atomic<std::uint32_t> state{kIdle};
-        // Adaptive only: the aggregator index this op is pinned to. Written
-        // by the owner before the pending release store (or re-pointed
-        // under the old aggregator's lock), read by freezers after their
-        // acquire load of `state`, so a freezer that sees the op sees its
-        // pin.
-        std::atomic<std::uint32_t> agg{0};
         V in{};   // owner-written before the pending release store
         V out{};  // freezer-written before the kDoneValue release store
     };
@@ -231,6 +246,7 @@ private:
         // Scratch for the freezer; guarded by `lock`.
         std::unique_ptr<std::uint32_t[]> scratch_push;
         std::unique_ptr<std::uint32_t[]> scratch_pop;
+        std::unique_ptr<std::uint32_t[]> scratch_absent;  // live, not pending
         std::unique_ptr<V[]> scratch_vals;
         // Degree counters (Table 1); freezer-only writers.
         std::atomic<std::uint64_t> batches{0};
@@ -271,24 +287,54 @@ private:
     // not-yet-migrated op from another view is its owner's job.
     std::uint32_t pending_here(const Slot& s, std::size_t agg) const noexcept {
         const std::uint32_t st = s.state.load(std::memory_order_acquire);
-        if (st != kOpPush && st != kOpPop) return kIdle;
-        if (cfg_.tuning != nullptr &&
-            s.agg.load(std::memory_order_relaxed) != agg) {
-            return kIdle;
+        if (!is_pending(st)) return kIdle;
+        if (cfg_.tuning != nullptr && (st >> kPinShift) != agg) return kIdle;
+        return st & kOpMask;
+    }
+
+    // True when the caller, a member of `agg`, is its only live member.
+    // Static configurations only (member lists are ascending). A stale
+    // tid_hwm() can miss a brand-new member; the two then apply ops side by
+    // side, which apply_pushes/apply_pops allow.
+    bool alone_in(const Agg& agg) const noexcept {
+        return agg.tids.size() < 2 || agg.tids[1] >= detail::tid_hwm();
+    }
+
+    template <class ApplyPushes, class ApplyPops>
+    static std::optional<V> apply_one(std::size_t agg, std::uint32_t op,
+                                      const V& in, ApplyPushes& apply_pushes,
+                                      ApplyPops& apply_pops) {
+        if (op == kOpPush) {
+            apply_pushes(agg, &in, 1);
+            return std::nullopt;
         }
-        return st;
+        V out{};
+        if (apply_pops(agg, &out, 1) == 1) return out;
+        return std::nullopt;
+    }
+
+    // Add one frozen batch to the degree counters. Plain load+store, not
+    // fetch_add: callers hold agg.lock, so each counter has one writer at a
+    // time (the lock hand-off orders successive writers) and an atomic RMW
+    // per counter per batch would be pure waste — 4 RMWs dominate the
+    // per-op cost when batches are small. stats() takes the same lock, so
+    // readers see whole batches only, never a mid-bump tear.
+    static void count_batch(Agg& agg, std::size_t batch, std::size_t pairs) {
+        auto bump = [](std::atomic<std::uint64_t>& c, std::uint64_t x) {
+            c.store(c.load(std::memory_order_relaxed) + x,
+                    std::memory_order_relaxed);
+        };
+        bump(agg.batches, 1);
+        bump(agg.batched, batch);
+        bump(agg.eliminated, 2 * pairs);
+        bump(agg.combined, batch - 2 * pairs);
     }
 
     // The freezer backoff: spin until every member in absent[0, n) has an
     // op pending for `agg`, or `ns` pass. Only absent slots are polled:
     // pending ones stay pending under the lock (see scan in combine()).
-    // With more absentees than `absent` holds, wait out the whole window.
     void await_absent(std::size_t agg, std::uint32_t* absent, std::size_t n,
                       std::uint64_t ns) const noexcept {
-        if (n > kMaxPolled) {
-            detail::spin_for_ns(ns);
-            return;
-        }
         const auto deadline =
             std::chrono::steady_clock::now() + std::chrono::nanoseconds(ns);
         do {
@@ -317,11 +363,9 @@ private:
         const bool adaptive = cfg_.tuning != nullptr;
         const std::vector<std::uint32_t>& members =
             adaptive ? tids_by_active_[tune.active - 1][agg.index] : agg.tids;
-        std::size_t np = 0, nq = 0;
-        // Live members with nothing pending here at the last scan; counted
-        // past kMaxPolled but only the first kMaxPolled are recorded.
-        std::uint32_t absent[kMaxPolled];
-        std::size_t na = 0;
+        // Pending pushes, pending pops, and live members with nothing
+        // pending here, as of the last scan.
+        std::size_t np = 0, nq = 0, na = 0;
         // Member lists are ascending, so every live slot sits in the prefix
         // below the tid high-water mark — stop there instead of walking all
         // max_threads entries. A stale (smaller) view can only miss a
@@ -345,8 +389,7 @@ private:
                 }
                 const std::uint32_t st = pending_here(slots_[t], agg.index);
                 if (st == kIdle) {
-                    if (na < kMaxPolled) absent[na] = t;
-                    ++na;
+                    agg.scratch_absent[na++] = t;
                 } else if (st == kOpPush) {
                     agg.scratch_push[np++] = t;
                 } else {
@@ -358,7 +401,8 @@ private:
         if (tune.backoff_ns > 0 && np + nq > 1 && na > 0) {
             // Freezer backoff: let the batch fill before freezing it, but
             // only while some live member can still join.
-            await_absent(agg.index, absent, na, tune.backoff_ns);
+            await_absent(agg.index, agg.scratch_absent.get(), na,
+                         tune.backoff_ns);
             scan();
         }
         const std::size_t batch = np + nq;
@@ -403,23 +447,7 @@ private:
             }
         }
 
-        if (cfg_.collect_stats) {
-            // Plain load+store, not fetch_add: combine() runs under
-            // agg.lock, so each counter has one writer at a time (the lock
-            // hand-off orders successive freezers) and an atomic RMW per
-            // counter per batch would be pure waste — 4 RMWs dominate the
-            // per-op cost when batches are small. stats() takes the same
-            // lock, so readers see whole batches only, never a mid-bump
-            // tear.
-            auto bump = [](std::atomic<std::uint64_t>& c, std::uint64_t x) {
-                c.store(c.load(std::memory_order_relaxed) + x,
-                        std::memory_order_relaxed);
-            };
-            bump(agg.batches, 1);
-            bump(agg.batched, batch);
-            bump(agg.eliminated, 2 * pairs);
-            bump(agg.combined, batch - 2 * pairs);
-        }
+        if (cfg_.collect_stats) count_batch(agg, batch, pairs);
     }
 
     Config cfg_;

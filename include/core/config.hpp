@@ -44,8 +44,8 @@ struct Config {
     // Bound on concurrently-live threads using the structure; per-thread
     // publication slots are sized by this.
     //   unit: threads · legal range: [1, kMaxThreads] · paper: §3 ("M
-    //   threads"). Threads with ids at or past the bound take the direct
-    //   spine path (AggregatorSet::is_overflow).
+    //   threads"). Threads with ids at or past the bound apply their ops
+    //   directly to the backing structure (AggregatorSet::execute).
     std::size_t max_threads = kMaxThreads;
     // Thread → aggregator assignment policy.
     //   legal range: the two enumerators above · paper: §3.2 prose

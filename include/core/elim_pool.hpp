@@ -50,10 +50,6 @@ public:
     ElimPool& operator=(const ElimPool&) = delete;
 
     bool insert(const V& v) {
-        if (aggs_.is_overflow(detail::tid())) {
-            detail::spine_push_chain(spines_[0].top, &v, 1);
-            return true;
-        }
         (void)aggs_.execute(
             Aggs::kOpPush, v,
             [this](std::size_t a, const V* vals, std::size_t n) {
@@ -66,11 +62,6 @@ public:
     }
 
     std::optional<V> extract() {
-        if (aggs_.is_overflow(detail::tid())) {
-            V out;
-            return pop_any(0, &out, 1) == 1 ? std::optional<V>(out)
-                                            : std::nullopt;
-        }
         return aggs_.execute(
             Aggs::kOpPop, V{},
             [this](std::size_t a, const V* vals, std::size_t n) {

@@ -54,10 +54,6 @@ public:
     SecQueue& operator=(const SecQueue&) = delete;
 
     bool put(const V& v) {
-        if (SEC_UNLIKELY(aggs_.is_overflow(detail::tid()))) {
-            detail::fifo_put_chain(tail_, &v, 1);
-            return true;
-        }
         (void)aggs_.execute(
             Aggs::kOpPush, v,
             [this](std::size_t, const V* vals, std::size_t n) {
@@ -71,13 +67,6 @@ public:
     }
 
     std::optional<V> take() {
-        if (SEC_UNLIKELY(aggs_.is_overflow(detail::tid()))) {
-            typename R::Guard guard(*domain_);
-            V out;
-            return detail::fifo_take_chain(head_, guard, &out, 1) == 1
-                       ? std::optional<V>(out)
-                       : std::nullopt;
-        }
         return aggs_.execute(
             Aggs::kOpPop, V{},
             [this](std::size_t, const V* vals, std::size_t n) {

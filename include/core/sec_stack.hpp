@@ -48,13 +48,6 @@ public:
     SecStack& operator=(const SecStack&) = delete;
 
     bool push(const V& v) {
-        // Overflow (more live threads than Config::max_threads) is a
-        // configuration escape hatch, not a steady state — keep the slotted
-        // batching path fall-through.
-        if (SEC_UNLIKELY(aggs_.is_overflow(detail::tid()))) {
-            detail::spine_push_chain(top_, &v, 1);
-            return true;
-        }
         (void)aggs_.execute(
             Aggs::kOpPush, v,
             [this](std::size_t, const V* vals, std::size_t n) {
@@ -68,13 +61,6 @@ public:
     }
 
     std::optional<V> pop() {
-        if (SEC_UNLIKELY(aggs_.is_overflow(detail::tid()))) {
-            typename R::Guard guard(*domain_);
-            V out;
-            return detail::spine_pop_chain(top_, guard, &out, 1) == 1
-                       ? std::optional<V>(out)
-                       : std::nullopt;
-        }
         return aggs_.execute(
             Aggs::kOpPop, V{},
             [this](std::size_t, const V* vals, std::size_t n) {

@@ -94,6 +94,38 @@ TEST(SecConfigTest, StatsOffByDefault) {
     EXPECT_EQ(s.batched_ops, 0u);
 }
 
+// A thread that is its aggregator's only live member applies its ops
+// directly but still counts each as a batch of one. The main thread holds
+// the lowest free id; max_threads = 1 makes the single aggregator its own.
+TEST(SecConfigTest, LoneMemberCountsBatchesOfOne) {
+    sec::Config cfg;
+    cfg.num_aggregators = 1;
+    cfg.max_threads = 1;
+    cfg.collect_stats = true;
+    Stack stack(cfg);
+    if (sec::detail::tid() != 0) GTEST_SKIP() << "main thread is not tid 0";
+    for (std::uint64_t i = 0; i < 100; ++i) stack.push(i);
+    for (std::uint64_t i = 100; i-- > 0;) EXPECT_EQ(stack.pop().value(), i);
+    EXPECT_FALSE(stack.pop().has_value());
+    const sec::StatsSnapshot s = stack.stats();
+    EXPECT_EQ(s.batches, 201u);
+    EXPECT_EQ(s.batched_ops, 201u);
+    EXPECT_EQ(s.combined_ops, 201u);
+    EXPECT_EQ(s.eliminated_ops, 0u);
+}
+
+// Threads past max_threads have no slot; they apply their ops directly
+// while the others batch, and no value is lost or duplicated.
+TEST(SecConfigTest, ThreadsPastMaxThreadsKeepSemantics) {
+    sec::Config cfg;
+    cfg.num_aggregators = 1;
+    cfg.max_threads = 2;
+    Stack stack(cfg);
+    const sec::testing::ChurnResult r =
+        sec::testing::churn(stack, /*threads=*/6, /*ops_per_thread=*/5000);
+    sec::testing::expect_conserved(r);
+}
+
 TEST(SecConfigTest, CollectStatsYieldsDegreesOnUpdateHeavyMix) {
     sec::Config cfg;
     cfg.max_threads = 16;

@@ -110,12 +110,15 @@ namespace detail {
 // ids instead of marching past every per-thread array bound.
 std::size_t tid() noexcept;
 
-// Monotonic high-water mark over every id tid() has handed out: all live
-// thread ids are < tid_hwm(). Lets slot scans stop at the live prefix
-// instead of walking max_threads entries. Relaxed — a freezer with a stale
-// (smaller) view can only miss a BRAND-NEW thread's first operation, whose
-// owner re-drives its own aggregator until served (the execute retry loop),
-// and that owner's view includes itself by construction.
+// One past the highest id a live thread holds: all live thread ids are
+// < tid_hwm(). It rises when a thread takes a higher id and falls back when
+// the holder of the highest id exits. Lets slot scans stop at the live
+// prefix instead of walking max_threads entries. Relaxed — a stale view is
+// an earlier value, which covered every thread live at its time, so a
+// freezer can only miss a BRAND-NEW thread's first operation, whose owner
+// re-drives its own aggregator until served (the execute retry loop); that
+// owner's view includes itself by construction, since no value stored
+// while it holds its id is below it.
 std::size_t tid_hwm() noexcept;
 
 inline void cpu_relax() noexcept {

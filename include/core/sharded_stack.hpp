@@ -255,13 +255,12 @@ public:
 
     // Per-shard load distribution, summed over the per-thread slots.
     // Relaxed reads: concurrent callers see a momentarily stale but untorn
-    // count; the scenario reads after the workers joined.
+    // count; the scenario reads after the workers joined, so every slot is
+    // summed, including those of threads that have exited.
     ShardStats shard_stats() const {
         ShardStats out;
         out.shard_ops.assign(cfg_.num_shards, 0);
-        const std::size_t hwm =
-            std::min(detail::tid_hwm(), cfg_.max_threads);
-        for (std::size_t t = 0; t < hwm; ++t) {
+        for (std::size_t t = 0; t < cfg_.max_threads; ++t) {
             const Counters& c = counters_[t];
             for (std::size_t s = 0; s < cfg_.num_shards; ++s) {
                 const std::uint64_t pu =

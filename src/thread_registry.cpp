@@ -33,6 +33,9 @@ std::size_t acquire_id() {
 void release_id(std::size_t id) noexcept {
     std::lock_guard<std::mutex> lock(g_mutex);
     g_in_use.reset(id);
+    std::size_t hwm = g_hwm.load(std::memory_order_relaxed);
+    while (hwm > 0 && !g_in_use.test(hwm - 1)) --hwm;
+    g_hwm.store(hwm, std::memory_order_relaxed);
 }
 
 struct TidHolder {

@@ -10,6 +10,7 @@
 // that reads the live tree, so what passes here is what runs on hardware.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
@@ -309,6 +310,23 @@ TEST(WorkerPool, RunCoversAllIndicesAndRegistersTids) {
         EXPECT_EQ(hits[t], 1u) << "worker " << t;
         EXPECT_LT(tids[t], sec::kMaxThreads) << "worker " << t;
     }
+}
+
+// The tid mark covers the workers while they run and falls back once they
+// have exited, so a thread running alone afterwards is seen as alone.
+TEST(WorkerPool, TidMarkFallsBackAfterWorkersExit) {
+    (void)sec::detail::tid();
+    const std::size_t before = sec::detail::tid_hwm();
+    std::vector<std::size_t> tids(4, 0);
+    std::atomic<std::size_t> during{0};
+    ex::WorkerPool::run(4, [&](ex::WorkerContext& wc) {
+        tids[wc.index] = sec::detail::tid();
+        wc.sync();  // every worker holds its id
+        if (wc.index == 0) during = sec::detail::tid_hwm();
+        wc.sync();  // and keeps it until the read is done
+    });
+    EXPECT_GT(during.load(), *std::max_element(tids.begin(), tids.end()));
+    EXPECT_EQ(sec::detail::tid_hwm(), before);
 }
 
 TEST(WorkerPool, CoordinatorBarrierSequencesPhases) {

@@ -1,6 +1,5 @@
-// secbench.cpp — the unified scenario driver: every experiment the ten
-// per-figure binaries used to hard-code, behind one CLI over the algorithm
-// and scenario registries (workload/registry.hpp).
+// secbench.cpp — the scenario driver: every experiment behind one CLI over
+// the algorithm and scenario registries (workload/registry.hpp).
 //
 //   secbench --list
 //   secbench fig2 --algos SEC,TRB --threads 1,4,16 --csv out.csv
@@ -40,7 +39,7 @@ int usage(std::FILE* out) {
                  "  --runs N           repetitions per data point\n"
                  "  --prefill N        nodes pushed before the window opens\n"
                  "  --value-range N    value universe for pushes\n"
-                 "  --csv PATH         also write table,threads,column,value "
+                 "  --csv PATH         also write table,key,column,value "
                  "rows to PATH\n"
                  "  --seed N           base seed for per-worker op-mix RNGs "
                  "(reproducible runs)\n"
@@ -564,18 +563,6 @@ int main(int argc, char** argv) {
         }
     }
 
-    std::FILE* csv = nullptr;
-    if (csv_path != nullptr) {
-        csv = std::fopen(csv_path, "w");
-        if (csv == nullptr) {
-            std::fprintf(stderr, "secbench: cannot open '%s' for writing\n",
-                         csv_path);
-            return 2;
-        }
-        sb::Table::write_csv_header(csv);
-        ctx.csv = csv;
-    }
-
     if (run_all) {
         scenarios.clear();
         for (const sb::ScenarioSpec* s : sb::ScenarioRegistry::instance().all()) {
@@ -583,34 +570,29 @@ int main(int argc, char** argv) {
         }
     }
 
-    // Snapshot runs: repeat the whole scenario list `repeats` times, each
-    // into its own cell set, and keep per-cell medians (the noise guard).
-    // Without --json/--baseline there is nothing to median, so one pass.
-    const bool want_snapshot = json_path != nullptr || baseline_path != nullptr;
-    const unsigned reps = want_snapshot ? std::max(1u, repeats) : 1;
-    if (!want_snapshot && repeats > 1) {
+    // Every pass streams its rows to stdout and into a snapshot; the files
+    // are written from the per-cell medians over `repeats` passes (the
+    // noise guard). Without an output file there is nothing to median, so
+    // one pass.
+    const bool want_file = json_path != nullptr || csv_path != nullptr ||
+                           baseline_path != nullptr;
+    if (!want_file && repeats > 1) {
         std::fprintf(stderr,
-                     "secbench: --repeats has no effect without --json or "
-                     "--baseline\n");
+                     "secbench: --repeats has no effect without --json, "
+                     "--csv or --baseline\n");
     }
-    std::vector<sb::json::Snapshot> snaps;
+    const unsigned reps = want_file ? std::max(1u, repeats) : 1;
     int rc = 0;
-    for (unsigned rep = 0; rep < reps; ++rep) {
-        sb::json::Snapshot snap;
-        ctx.json = want_snapshot ? &snap : nullptr;
-        if (reps > 1) {
-            std::fprintf(stderr, "# snapshot repeat %u/%u\n", rep + 1, reps);
-        }
-        for (const std::string& name : scenarios) {
-            const int one = sb::run_scenario(name, ctx);
-            if (one != 0 && rc == 0) rc = one;
-        }
-        if (want_snapshot) snaps.push_back(std::move(snap));
-    }
-    if (csv != nullptr) std::fclose(csv);
+    sb::json::Snapshot current = sb::run_scenarios(scenarios, ctx, reps, rc);
 
-    if (want_snapshot) {
-        sb::json::Snapshot current = sb::json::median_of(snaps);
+    if (csv_path != nullptr) {
+        std::string err;
+        if (!sb::json::write_snapshot_csv(current, csv_path, &err)) {
+            std::fprintf(stderr, "secbench: %s\n", err.c_str());
+            if (rc == 0) rc = 2;
+        }
+    }
+    if (json_path != nullptr || baseline_path != nullptr) {
         sb::json::Metadata meta = sb::json::build_metadata();
         auto join = [](const auto& items, auto&& name_of) {
             std::string out;

@@ -38,6 +38,13 @@ RunResult run_throughput_any(AnyStack& stack, const RunConfig& cfg);
 // says otherwise; returns the merged histogram (cfg.runs is ignored).
 LatencyHistogram run_latency_any(AnyStack& stack, const RunConfig& cfg);
 
+// `threads` pool workers, released together, each run body(worker index);
+// returns the wall span from the earliest start to the latest end, in us
+// (0 for zero threads). The churn runner and the micro scenario's
+// primitive-cost table time their workers through this.
+double run_span_us(unsigned threads,
+                   const std::function<void(unsigned)>& body);
+
 // Fixed-op balanced churn: `threads` workers each run `ops_per_thread`
 // operations of a balanced push/pop mix, then join (the reclamation
 // scenario's workload). Workers are seeded from `seed` + thread id; returns

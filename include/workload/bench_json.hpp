@@ -2,12 +2,12 @@
 // snapshots and the baseline regression gate.
 //
 // A Snapshot is every result cell one secbench invocation produced (each
-// Table cell plus the csv_row cells of the table-less scenarios) together
-// with enough metadata to re-run the exact configuration: git sha, compiler
-// and flags, core count, scenario list, the effective EnvConfig, and the
-// repeat count. `secbench --json FILE` writes one; `secbench --baseline
-// FILE` re-runs the pinned configuration the file records and compares
-// per-cell.
+// Table cell plus the table-less csv_row cells, both sent through
+// ScenarioContext) together with enough metadata to re-run the exact
+// configuration: git sha, compiler and flags, core count, scenario list,
+// the effective EnvConfig, and the repeat count. `secbench --json FILE`
+// writes one (and `--csv FILE` its cells); `secbench --baseline FILE`
+// re-runs the pinned configuration the file records and compares per-cell.
 //
 // The compare is built for cross-machine baselines (a laptop-refreshed
 // BENCH_smoke.json gated on a shared CI runner):
@@ -101,6 +101,16 @@ bool write_snapshot(const Snapshot& snap, const std::string& path,
                     std::string* err = nullptr);
 bool read_snapshot(const std::string& path, Snapshot& out,
                    std::string* err = nullptr);
+
+// One cell as a `table,key,column,value` CSV row (no newline, value %.4f).
+// The stdout `CSV,` stream and the --csv file both format through here, so
+// the two agree row for row.
+std::string csv_line(std::string_view table, std::string_view key,
+                     std::string_view column, double value);
+// The --csv file: the `table,key,column,value` header, then one row per
+// cell in snapshot order. Same error contract as write_snapshot.
+bool write_snapshot_csv(const Snapshot& snap, const std::string& path,
+                        std::string* err = nullptr);
 
 // Collapse repeated runs of one configuration into per-cell medians (the
 // noise guard). Cell identity is (table, key, column); within one run a

@@ -3,14 +3,13 @@
 // AlgorithmRegistry maps a legend name ("SEC", "TRB", ...) to a factory
 // producing a type-erased AnyStack from {threads, optional Config, optional
 // EBR domain}. ScenarioRegistry maps a scenario name ("fig2", "latency",
-// ...) to a ~30-line function that composes the shared Table/CSV/selection
-// pipeline in ScenarioContext. The secbench CLI and the legacy per-figure
-// stub binaries are both thin layers over these two registries; adding an
-// algorithm or an experiment means one registration, not ten edited drivers.
+// ...) to a short function that composes the shared selection/series/result
+// pipeline in ScenarioContext. The secbench CLI is the one entry point over
+// these registries; adding an algorithm or an experiment means one
+// registration.
 #pragma once
 
 #include <algorithm>
-#include <cstdio>
 #include <functional>
 #include <memory>
 #include <string>
@@ -137,15 +136,15 @@ inline std::vector<std::string> algorithm_columns() {
     return columns;
 }
 
-// Shared per-scenario state plus the Table/CSV/selection pipeline every
+// Shared per-scenario state plus the selection/series/result pipeline every
 // scenario composes.
 struct ScenarioContext {
     EnvConfig env;
     std::vector<const AlgoSpec*> algos;  // selection, legend order
-    std::FILE* csv = nullptr;            // optional CSV sink (secbench --csv)
-    // Optional BENCH_*.json snapshot sink (secbench --json / --baseline):
-    // emit() feeds every Table cell into it, csv_row() the table-less
-    // cells, so a snapshot is exactly what the run printed.
+    // The run's result snapshot (run_scenarios points it at one pass's
+    // snapshot; --json and --csv are both written from it). Every cell
+    // csv_row() streams to stdout also lands here, so a snapshot is exactly
+    // what the run printed. Null = stdout only.
     json::Snapshot* json = nullptr;
     bool smoke = false;                  // tiny-budget mode (secbench --smoke)
     // The --reclaim scheme, when given: `algos` is already rebound to its
@@ -174,16 +173,18 @@ struct ScenarioContext {
     RunConfig run_config(unsigned threads, const OpMix& mix,
                          const EnvConfig& e) const;
     // Sweep the thread grid of `e` for one algorithm into `table`.
-    void series(Table& table, const AlgoSpec& algo, const OpMix& mix) const;
     void series(Table& table, const AlgoSpec& algo, const OpMix& mix,
                 const EnvConfig& e) const;
-    // Print the table and append its rows to the CSV sink, if any.
+    // Print the table's grid, then send every cell through csv_row (key =
+    // thread count, the table's unit).
     void emit(const Table& table) const;
-    // One `table,key,column,value` row to the CSV sink (no-op without one) —
-    // the file-sink path for scenarios whose results aren't a Table
-    // (table1 / latency / reclamation / micro).
+    // The one result sink: print `CSV,<table>,<key>,<column>,<value>` to
+    // stdout (flushed, so a crashed run keeps its rows) and append the cell
+    // to the snapshot. Cells without a unit are reported but never gated by
+    // the snapshot compare (workload/bench_json.hpp).
     void csv_row(std::string_view table, std::string_view key,
-                 std::string_view column, double value) const;
+                 std::string_view column, double value,
+                 std::string_view unit = "") const;
 };
 
 struct ScenarioSpec {
@@ -209,9 +210,11 @@ private:
 // exit code, or 2 for an unknown name (after listing the available set).
 int run_scenario(std::string_view name, const ScenarioContext& ctx);
 
-// What the legacy per-figure stub binaries call: EnvConfig::load() + the
-// default algorithm set, no CSV sink.
-int run_legacy_scenario(std::string_view name);
+// Run `names` in order, `repeats` times over, each pass into its own
+// snapshot, and return the per-cell medians (json::median_of; meta left
+// empty). `rc` receives the first nonzero scenario exit code, else 0.
+json::Snapshot run_scenarios(const std::vector<std::string>& names,
+                             ScenarioContext ctx, unsigned repeats, int& rc);
 
 namespace detail {
 // Defined in src/scenarios.cpp; called once from ScenarioRegistry's

@@ -1,10 +1,9 @@
-// workload/reporter.hpp — result table: human-aligned on stdout plus
-// machine-greppable CSV lines (`CSV,<table>,<threads>,<column>,<value>`),
-// with an optional file sink (`secbench --csv`) that gets headerful
-// `table,key,column,value` rows instead.
+// workload/reporter.hpp — result table: a thread-count x column grid,
+// printed human-aligned on stdout. Its cells leave the program through
+// ScenarioContext::emit (workload/registry.hpp), which also streams them as
+// `CSV,` lines and adds them to the run's snapshot.
 #pragma once
 
-#include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
@@ -23,12 +22,8 @@ public:
     // a duplicate cell is almost always a scenario bug (two series writing
     // the same column, a row key collision), and silent overwrite hid it.
     void add(unsigned threads, std::string_view column, double value);
+    // The aligned grid on stdout; missing cells print as '-'.
     void print() const;
-
-    // Append this table's cells to `out` as `table,key,column,value` rows,
-    // key = thread count (write_csv_header first, once per file).
-    void write_csv(std::FILE* out) const;
-    static void write_csv_header(std::FILE* out);
 
     const std::string& name() const noexcept { return name_; }
     const std::string& unit() const noexcept { return unit_; }
@@ -37,7 +32,7 @@ public:
     unsigned duplicates() const noexcept { return duplicates_; }
 
     // Visit every populated cell in grid order: fn(threads, column, value).
-    // The BENCH_*.json snapshot writer serializes tables through this.
+    // ScenarioContext::emit sends each cell to the result sink through this.
     template <class Fn>
     void for_each_cell(Fn&& fn) const {
         for (const auto& [threads, cells] : rows_) {

@@ -196,9 +196,8 @@ LatencyHistogram run_latency_any(AnyStack& stack, const RunConfig& cfg) {
     return merged;
 }
 
-double run_churn_any(AnyStack& stack, unsigned threads,
-                     std::uint64_t ops_per_thread, std::size_t value_range,
-                     std::uint64_t seed) {
+double run_span_us(unsigned threads,
+                   const std::function<void(unsigned)>& body) {
     if (threads == 0) return 0.0;
     using Clock = std::chrono::steady_clock;
     // Workers rendezvous among themselves (thread spawn cost must not
@@ -209,13 +208,9 @@ double run_churn_any(AnyStack& stack, unsigned threads,
     std::vector<CacheAligned<Clock::time_point>> ends(threads);
     exec::WorkerPool::run(threads, [&](exec::WorkerContext& wc) {
         const unsigned t = wc.index;
-        PhaseArgs args;
-        args.value_range = value_range;
-        args.mix = kUpdateHeavy;  // balanced push/pop churn
-        args.seed = phase_seed(seed, t, 0);
         wc.sync();
         *begins[t] = Clock::now();
-        stack.mixed_ops(ops_per_thread, args);
+        body(t);
         *ends[t] = Clock::now();
     });
     Clock::time_point start = *begins[0];
@@ -224,8 +219,19 @@ double run_churn_any(AnyStack& stack, unsigned threads,
         if (*begins[t] < start) start = *begins[t];
         if (*ends[t] > end) end = *ends[t];
     }
-    const double us =
-        std::chrono::duration<double, std::micro>(end - start).count();
+    return std::chrono::duration<double, std::micro>(end - start).count();
+}
+
+double run_churn_any(AnyStack& stack, unsigned threads,
+                     std::uint64_t ops_per_thread, std::size_t value_range,
+                     std::uint64_t seed) {
+    const double us = run_span_us(threads, [&](unsigned t) {
+        PhaseArgs args;
+        args.value_range = value_range;
+        args.mix = kUpdateHeavy;  // balanced push/pop churn
+        args.seed = phase_seed(seed, t, 0);
+        stack.mixed_ops(ops_per_thread, args);
+    });
     const double total =
         static_cast<double>(threads) * static_cast<double>(ops_per_thread);
     return us > 0 ? total / us : 0.0;

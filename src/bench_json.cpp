@@ -91,6 +91,19 @@ void append_kv(std::string& out, std::string_view key, bool v) {
     out += v ? ": true" : ": false";
 }
 
+bool write_file(const std::string& path, const std::string& text,
+                std::string* err) {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    if (f == nullptr) {
+        if (err != nullptr) *err = "cannot open '" + path + "' for writing";
+        return false;
+    }
+    const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+    std::fclose(f);
+    if (!ok && err != nullptr) *err = "short write to '" + path + "'";
+    return ok;
+}
+
 // ---- parsing ---------------------------------------------------------------
 
 struct JValue {
@@ -428,16 +441,28 @@ bool write_snapshot(const Snapshot& snap, const std::string& path,
         out += i + 1 < snap.cells.size() ? "},\n" : "}\n";
     }
     out += "  ]\n}\n";
+    return write_file(path, out, err);
+}
 
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        if (err != nullptr) *err = "cannot open '" + path + "' for writing";
-        return false;
+std::string csv_line(std::string_view table, std::string_view key,
+                     std::string_view column, double value) {
+    char buf[48];
+    std::snprintf(buf, sizeof buf, ",%.4f", value);
+    std::string out;
+    out.reserve(table.size() + key.size() + column.size() + 24);
+    out.append(table).append(1, ',').append(key).append(1, ',');
+    out.append(column).append(buf);
+    return out;
+}
+
+bool write_snapshot_csv(const Snapshot& snap, const std::string& path,
+                        std::string* err) {
+    std::string out = "table,key,column,value\n";
+    for (const Cell& c : snap.cells) {
+        out += csv_line(c.table, c.key, c.column, c.value);
+        out += '\n';
     }
-    const bool ok = std::fwrite(out.data(), 1, out.size(), f) == out.size();
-    std::fclose(f);
-    if (!ok && err != nullptr) *err = "short write to '" + path + "'";
-    return ok;
+    return write_file(path, out, err);
 }
 
 bool read_snapshot(const std::string& path, Snapshot& out, std::string* err) {

@@ -1,8 +1,8 @@
 // registry.cpp — AlgorithmRegistry (the six stacks + the ElimPool adapter
 // self-register here, plus the algo@reclaimer cross-product),
 // ReclaimerRegistry (the four sec::reclaim schemes), ScenarioRegistry, and
-// the shared scenario pipeline (ScenarioContext helpers, run_scenario, the
-// legacy-stub entry point).
+// the shared scenario pipeline (ScenarioContext helpers and the result sink,
+// run_scenario / run_scenarios).
 #include "workload/registry.hpp"
 
 #include <cstdio>
@@ -406,11 +406,6 @@ RunConfig ScenarioContext::run_config(unsigned threads, const OpMix& mix,
 }
 
 void ScenarioContext::series(Table& table, const AlgoSpec& algo,
-                             const OpMix& mix) const {
-    series(table, algo, mix, env);
-}
-
-void ScenarioContext::series(Table& table, const AlgoSpec& algo,
                              const OpMix& mix, const EnvConfig& e) const {
     for (unsigned t : e.threads) {
         const RunConfig cfg = run_config(t, mix, e);
@@ -440,23 +435,19 @@ void ScenarioContext::series(Table& table, const AlgoSpec& algo,
 
 void ScenarioContext::emit(const Table& table) const {
     table.print();
-    if (csv != nullptr) table.write_csv(csv);
-    if (json != nullptr) {
-        table.for_each_cell([&](unsigned t, const std::string& col, double v) {
-            json->add(table.name(), std::to_string(t), col, table.unit(), v);
-        });
-    }
+    table.for_each_cell([&](unsigned t, const std::string& col, double v) {
+        csv_row(table.name(), std::to_string(t), col, v, table.unit());
+    });
 }
 
 void ScenarioContext::csv_row(std::string_view table, std::string_view key,
-                              std::string_view column, double value) const {
-    // csv_row cells carry no unit, so the snapshot compare reports but
-    // never gates them (workload/bench_json.hpp).
-    if (json != nullptr) json->add(table, key, column, "", value);
-    if (csv == nullptr) return;
-    std::fprintf(csv, "%.*s,%.*s,%.*s,%.4f\n", static_cast<int>(table.size()),
-                 table.data(), static_cast<int>(key.size()), key.data(),
-                 static_cast<int>(column.size()), column.data(), value);
+                              std::string_view column, double value,
+                              std::string_view unit) const {
+    const std::string row =
+        "CSV," + json::csv_line(table, key, column, value) + "\n";
+    std::fputs(row.c_str(), stdout);
+    std::fflush(stdout);
+    if (json != nullptr) json->add(table, key, column, unit, value);
 }
 
 // ---- entry points ----------------------------------------------------------
@@ -485,11 +476,22 @@ int run_scenario(std::string_view name, const ScenarioContext& ctx) {
     return rc;
 }
 
-int run_legacy_scenario(std::string_view name) {
-    ScenarioContext ctx;
-    ctx.env = EnvConfig::load();
-    ctx.algos = AlgorithmRegistry::instance().default_set();
-    return run_scenario(name, ctx);
+json::Snapshot run_scenarios(const std::vector<std::string>& names,
+                             ScenarioContext ctx, unsigned repeats, int& rc) {
+    rc = 0;
+    std::vector<json::Snapshot> passes(std::max(1u, repeats));
+    for (std::size_t rep = 0; rep < passes.size(); ++rep) {
+        if (passes.size() > 1) {
+            std::fprintf(stderr, "# snapshot repeat %zu/%zu\n", rep + 1,
+                         passes.size());
+        }
+        ctx.json = &passes[rep];
+        for (const std::string& name : names) {
+            const int one = run_scenario(name, ctx);
+            if (one != 0 && rc == 0) rc = one;
+        }
+    }
+    return json::median_of(passes);
 }
 
 }  // namespace sec::bench

@@ -42,35 +42,7 @@ void Table::print() const {
         }
         std::printf("\n");
     }
-    for (const auto& [threads, cells] : rows_) {
-        for (const auto& c : columns_) {
-            const auto it = cells.find(c);
-            if (it != cells.end()) {
-                std::printf("CSV,%s,%u,%s,%.4f\n", name_.c_str(), threads,
-                            c.c_str(), it->second);
-            }
-        }
-    }
     std::fflush(stdout);
-}
-
-void Table::write_csv(std::FILE* out) const {
-    for (const auto& [threads, cells] : rows_) {
-        for (const auto& c : columns_) {
-            const auto it = cells.find(c);
-            if (it != cells.end()) {
-                std::fprintf(out, "%s,%u,%s,%.4f\n", name_.c_str(), threads,
-                             c.c_str(), it->second);
-            }
-        }
-    }
-    std::fflush(out);
-}
-
-void Table::write_csv_header(std::FILE* out) {
-    // `key` is the thread count for throughput tables; other scenarios put
-    // their natural row key there (mix, "ALGO@tN", ...).
-    std::fprintf(out, "table,key,column,value\n");
 }
 
 void progress_line(std::string_view column, unsigned threads, double mops) {

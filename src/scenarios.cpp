@@ -1,12 +1,15 @@
 // scenarios.cpp — the paper's experiments as registry-driven scenario
 // functions. Each is a short composition of the shared ScenarioContext
-// pipeline (selection, thread-grid series, Table/CSV emission); the per-
-// figure binaries under bench/ are two-line stubs over these, and
+// pipeline (selection, thread-grid series, the one result sink);
 // bench/secbench.cpp drives them from the command line.
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -30,7 +33,7 @@ namespace {
 
 // Prefill proportional to expected pop volume so pop-heavy windows measure
 // real pops rather than EMPTY returns (the paper's fixed 1000-node prefill
-// drains within milliseconds; see EXPERIMENTS.md).
+// drains within milliseconds; see REPRODUCING.md, Figure 3).
 EnvConfig with_pop_prefill(EnvConfig env) {
     const std::size_t volume = static_cast<std::size_t>(
         25e6 * (static_cast<double>(env.duration_ms) / 1000.0) * 1.3);
@@ -47,22 +50,44 @@ Config sec_config(unsigned threads) {
     return cfg;
 }
 
-// ---- fig2: EXP1 — throughput vs thread count, 3 mixes, all algorithms ------
+// ---- the op-mix grids: fig2 / queue / fig3 / fig4 ---------------------------
 
-int fig2(const ScenarioContext& ctx) {
-    for (const OpMix& mix : kStandardMixes) {
-        Table table(std::string("fig2_") + std::string(mix.name),
-                    ctx.columns());
-        std::fprintf(stderr, "workload %s (%u%% updates)\n", mix.name.data(),
-                     mix.update_pct());
-        for (const AlgoSpec* a : ctx.algos) ctx.series(table, *a, mix);
+// One table per mix, named prefix + mix name, filled by `fill` and emitted.
+// A mix without pushes drains the stack, so it runs on with_pop_prefill's
+// deeper prefill.
+using GridFill =
+    std::function<void(Table&, const OpMix&, const EnvConfig&)>;
+
+void mix_grid(const ScenarioContext& ctx, std::string_view prefix,
+              const std::vector<std::string>& columns,
+              std::span<const OpMix> mixes, const GridFill& fill) {
+    for (const OpMix& mix : mixes) {
+        const EnvConfig env =
+            mix.push_pct == 0 ? with_pop_prefill(ctx.env) : ctx.env;
+        Table table(std::string(prefix) + std::string(mix.name), columns);
+        std::fprintf(stderr, "workload %s (%u%% updates, prefill=%zu)\n",
+                     mix.name.data(), mix.update_pct(), env.prefill);
+        fill(table, mix, env);
         ctx.emit(table);
     }
+}
+
+// The fill for a table whose columns are the selected algorithms.
+GridFill algo_fill(const ScenarioContext& ctx) {
+    return [&ctx](Table& table, const OpMix& mix, const EnvConfig& env) {
+        for (const AlgoSpec* a : ctx.algos) ctx.series(table, *a, mix, env);
+    };
+}
+
+constexpr std::array<OpMix, 2> kAsymmetricMixes = {kPushOnly, kPopOnly};
+
+// EXP1 — throughput vs thread count, 3 mixes, all algorithms.
+int fig2(const ScenarioContext& ctx) {
+    mix_grid(ctx, "fig2_", ctx.columns(), kStandardMixes, algo_fill(ctx));
     return 0;
 }
 
-// ---- queue: the FIFO matrix — fig2's op-mix grid over queue algorithms -----
-
+// The FIFO matrix — fig2's op-mix grid over queue algorithms.
 int queue(const ScenarioContext& ctx) {
     // Run on the FIFO members of the current selection. When the caller left
     // the (all-lifo) Figure-2 default set in place — `secbench all`, plain
@@ -83,43 +108,20 @@ int queue(const ScenarioContext& ctx) {
     }
     ScenarioContext qctx = ctx;
     qctx.algos = fifo;
-    for (const OpMix& mix : kStandardMixes) {
-        Table table(std::string("queue_") + std::string(mix.name),
-                    qctx.columns());
-        std::fprintf(stderr, "workload %s (%u%% updates)\n", mix.name.data(),
-                     mix.update_pct());
-        for (const AlgoSpec* a : qctx.algos) qctx.series(table, *a, mix);
-        qctx.emit(table);
-    }
+    mix_grid(qctx, "queue_", qctx.columns(), kStandardMixes, algo_fill(qctx));
     return 0;
 }
 
-// ---- fig3: EXP2 — asymmetric push-only / pop-only workloads ----------------
-
+// EXP2 — asymmetric push-only / pop-only workloads.
 int fig3(const ScenarioContext& ctx) {
-    {
-        Table table("fig3_push_only", ctx.columns());
-        std::fprintf(stderr, "workload push-only\n");
-        for (const AlgoSpec* a : ctx.algos) ctx.series(table, *a, kPushOnly);
-        ctx.emit(table);
-    }
-    {
-        const EnvConfig pop_env = with_pop_prefill(ctx.env);
-        Table table("fig3_pop_only", ctx.columns());
-        std::fprintf(stderr, "workload pop-only (prefill=%zu)\n",
-                     pop_env.prefill);
-        for (const AlgoSpec* a : ctx.algos) {
-            ctx.series(table, *a, kPopOnly, pop_env);
-        }
-        ctx.emit(table);
-    }
+    mix_grid(ctx, "fig3_", ctx.columns(), kAsymmetricMixes, algo_fill(ctx));
     return 0;
 }
 
-// ---- fig4: EXP3 — SEC self-comparison with 1..5 aggregators ----------------
-
-void fig4_series(const ScenarioContext& ctx, Table& table, const OpMix& mix,
-                 const EnvConfig& env, const AlgoSpec& sec_algo) {
+// EXP3 — SEC self-comparison with 1..5 aggregators: one SEC_AggN column per
+// aggregator count, over fig2's mixes and fig3's asymmetric pair.
+void fig4_series(const ScenarioContext& ctx, const AlgoSpec& sec_algo,
+                 Table& table, const OpMix& mix, const EnvConfig& env) {
     for (std::size_t aggs = 1; aggs <= kMaxAggregators; ++aggs) {
         const std::string column = "SEC_Agg" + std::to_string(aggs);
         for (unsigned t : env.threads) {
@@ -143,24 +145,13 @@ int fig4(const ScenarioContext& ctx) {
     for (std::size_t a = 1; a <= kMaxAggregators; ++a) {
         columns.push_back("SEC_Agg" + std::to_string(a));
     }
-    for (const OpMix& mix : kStandardMixes) {
-        Table table(std::string("fig4_") + std::string(mix.name), columns);
-        std::fprintf(stderr, "workload %s\n", mix.name.data());
-        fig4_series(ctx, table, mix, ctx.env, sec_algo);
-        ctx.emit(table);
-    }
-    {
-        Table table("fig4_push_only", columns);
-        std::fprintf(stderr, "workload push-only\n");
-        fig4_series(ctx, table, kPushOnly, ctx.env, sec_algo);
-        ctx.emit(table);
-    }
-    {
-        Table table("fig4_pop_only", columns);
-        std::fprintf(stderr, "workload pop-only\n");
-        fig4_series(ctx, table, kPopOnly, with_pop_prefill(ctx.env), sec_algo);
-        ctx.emit(table);
-    }
+    constexpr std::array<OpMix, 5> kMixes = {
+        kStandardMixes[0], kStandardMixes[1], kStandardMixes[2], kPushOnly,
+        kPopOnly};
+    mix_grid(ctx, "fig4_", columns, kMixes,
+             [&](Table& table, const OpMix& mix, const EnvConfig& env) {
+                 fig4_series(ctx, sec_algo, table, mix, env);
+             });
     return 0;
 }
 
@@ -224,12 +215,6 @@ int table1(const ScenarioContext& ctx) {
     std::printf("%-18s %9.0f%% %9.0f%% %9.0f%%\n", "%Combining",
                 rows[0].comb_pct, rows[1].comb_pct, rows[2].comb_pct);
     for (i = 0; i < 3; ++i) {
-        std::printf("CSV,table1,%s,batching,%.2f\n",
-                    kStandardMixes[i].name.data(), rows[i].batching);
-        std::printf("CSV,table1,%s,elimination_pct,%.2f\n",
-                    kStandardMixes[i].name.data(), rows[i].elim_pct);
-        std::printf("CSV,table1,%s,combining_pct,%.2f\n",
-                    kStandardMixes[i].name.data(), rows[i].comb_pct);
         ctx.csv_row("table1", kStandardMixes[i].name, "batching",
                     rows[i].batching);
         ctx.csv_row("table1", kStandardMixes[i].name, "elimination_pct",
@@ -260,12 +245,6 @@ int latency(const ScenarioContext& ctx) {
                 static_cast<unsigned long long>(merged.quantile_ns(0.50)),
                 static_cast<unsigned long long>(merged.quantile_ns(0.99)),
                 static_cast<unsigned long long>(merged.quantile_ns(0.999)));
-            std::printf("CSV,latency_upd100,%s,%u,%.0f,%llu,%llu,%llu\n",
-                        a->name.c_str(), t, merged.mean_ns(),
-                        static_cast<unsigned long long>(merged.quantile_ns(0.50)),
-                        static_cast<unsigned long long>(merged.quantile_ns(0.99)),
-                        static_cast<unsigned long long>(
-                            merged.quantile_ns(0.999)));
             const std::string key = a->name + "@t" + std::to_string(t);
             ctx.csv_row("latency_upd100", key, "mean_ns", merged.mean_ns());
             ctx.csv_row("latency_upd100", key, "p50_ns",
@@ -321,10 +300,6 @@ void reclamation_cell(const ScenarioContext& ctx, const ReclaimerSpec& scheme,
         static_cast<unsigned long long>(before.freed), freed_pct,
         static_cast<unsigned long long>(before.limbo_hwm), drain_us,
         static_cast<unsigned long long>(after.in_limbo()));
-    std::printf("CSV,reclamation,%s,%u,%llu,%llu,%llu\n", spec.name.c_str(),
-                t, static_cast<unsigned long long>(before.retired),
-                static_cast<unsigned long long>(before.freed),
-                static_cast<unsigned long long>(before.in_limbo()));
     const std::string key = spec.name + "@t" + std::to_string(t);
     ctx.csv_row("reclamation", key, "retired",
                 static_cast<double>(before.retired));
@@ -751,13 +726,6 @@ int sharding(const ScenarioContext& ctx) {
                 static_cast<unsigned long long>(ss.empty_pops),
                 per_shard.c_str());
             const std::string key = column + "@t" + std::to_string(t);
-            std::printf("CSV,sharding_shards,%s,imbalance,%.4f\n", key.c_str(),
-                        ss.imbalance());
-            std::printf("CSV,sharding_shards,%s,steal_pct,%.4f\n", key.c_str(),
-                        ss.steal_pct());
-            std::printf("CSV,sharding_shards,%s,empty_pops,%llu\n",
-                        key.c_str(),
-                        static_cast<unsigned long long>(ss.empty_pops));
             ctx.csv_row("sharding_shards", key, "imbalance", ss.imbalance());
             ctx.csv_row("sharding_shards", key, "steal_pct", ss.steal_pct());
             ctx.csv_row("sharding_shards", key, "empty_pops",
@@ -1113,6 +1081,53 @@ double static_twin_mops(std::string_view name, std::uint64_t ops,
     return -1.0;
 }
 
+// ns per iteration of `op` as each of `threads` workers sees it, all of
+// them running it at once: the wall span over the per-worker iteration count
+// (google-benchmark's real-time-per-thread convention).
+template <class Op>
+double contended_ns(unsigned threads, std::uint64_t iters, Op op) {
+    const double us = run_span_us(threads, [&](unsigned) {
+        for (std::uint64_t i = 0; i < iters; ++i) op();
+    });
+    return us * 1000.0 / static_cast<double>(iters);
+}
+
+// The paper's primitive-cost arguments over the thread grid: SEC eliminates
+// with two fetch&increments where EB's collision protocol takes three CASes
+// (§2), and every reclaiming stack pays the EBR guard on each operation plus
+// a retire per popped node (§4). Unit "ns", so the snapshot compare never
+// gates it.
+void micro_prims(const ScenarioContext& ctx, std::uint64_t iters) {
+    Table table("micro_prims",
+                {"fai2_ns", "cas3_ns", "ebr_guard_ns", "ebr_retire_ns"}, "ns");
+    for (unsigned t : ctx.env.threads) {
+        CacheAligned<std::atomic<std::uint64_t>> words[3];
+        table.add(t, "fai2_ns", contended_ns(t, iters, [&] {
+                      words[0]->fetch_add(1, std::memory_order_acq_rel);
+                      words[1]->fetch_add(1, std::memory_order_acq_rel);
+                  }));
+        table.add(t, "cas3_ns", contended_ns(t, iters, [&] {
+                      for (auto& w : words) {
+                          std::uint64_t cur = w->load(std::memory_order_acquire);
+                          while (!w->compare_exchange_weak(
+                              cur, cur + 1, std::memory_order_acq_rel,
+                              std::memory_order_acquire)) {
+                          }
+                      }
+                  }));
+        reclaim::EpochDomain domain;
+        table.add(t, "ebr_guard_ns", contended_ns(t, iters, [&] {
+                      reclaim::EpochDomain::Guard g(domain);
+                  }));
+        table.add(t, "ebr_retire_ns", contended_ns(t, iters, [&] {
+                      reclaim::EpochDomain::Guard g(domain);
+                      domain.retire(new std::uint64_t(1));
+                  }));
+        domain.drain_all();
+    }
+    ctx.emit(table);
+}
+
 int micro(const ScenarioContext& ctx) {
     const std::uint64_t ops = std::max<std::uint64_t>(
         20'000, static_cast<std::uint64_t>(ctx.env.duration_ms) * 2000);
@@ -1142,10 +1157,6 @@ int micro(const ScenarioContext& ctx) {
                         "erased=%8.2f Mops/s (%7.1f ns/op) delta=%+.1f%%\n",
                         a->name.c_str(), stat, ns_per_op(stat), erased,
                         ns_per_op(erased), delta);
-            std::printf("CSV,micro_ops,%s,static,%.4f\n", a->name.c_str(),
-                        stat);
-            std::printf("CSV,micro_ops,%s,static_ns,%.4f\n", a->name.c_str(),
-                        ns_per_op(stat));
             ctx.csv_row("micro_ops", a->name, "static", stat);
             ctx.csv_row("micro_ops", a->name, "static_ns", ns_per_op(stat));
         } else {
@@ -1153,12 +1164,10 @@ int micro(const ScenarioContext& ctx) {
                         "(%7.1f ns/op)\n",
                         a->name.c_str(), "-", erased, ns_per_op(erased));
         }
-        std::printf("CSV,micro_ops,%s,erased,%.4f\n", a->name.c_str(), erased);
-        std::printf("CSV,micro_ops,%s,erased_ns,%.4f\n", a->name.c_str(),
-                    ns_per_op(erased));
         ctx.csv_row("micro_ops", a->name, "erased", erased);
         ctx.csv_row("micro_ops", a->name, "erased_ns", ns_per_op(erased));
     }
+    micro_prims(ctx, ops);
     return 0;
 }
 
@@ -1215,7 +1224,7 @@ void register_builtin_scenarios(ScenarioRegistry& reg) {
              net_service});
     reg.add({"micro",
              "static vs type-erased hot-loop parity + single-thread op cost "
-             "(Mops + ns/op)",
+             "(Mops + ns/op) + F&I/CAS/EBR primitive costs",
              micro});
 }
 

@@ -1,20 +1,65 @@
 // registry_test.cpp — the algorithm/scenario registries and the type-erased
 // AnyStack path: round-trips, legend-order columns, unknown-name reporting,
-// the runner's threads==0 guard, and a smoke scenario run.
+// the runner's threads==0 guard, smoke scenario runs, and the one result
+// sink (stdout `CSV,` lines, the snapshot, and the --csv file agree).
 #include <gtest/gtest.h>
 
 #include <cctype>
-#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <map>
 #include <set>
 #include <string>
+#include <vector>
 
-#include "../bench/bench_common.hpp"
 #include "sec.hpp"
 #include "workload/any_runner.hpp"
+#include "workload/bench_json.hpp"
 #include "workload/registry.hpp"
 #include "workload/sweep.hpp"
 
 namespace sb = sec::bench;
+
+namespace {
+
+// `snap` as the --csv file secbench writes, read back line by line.
+std::vector<std::string> csv_file_lines(const sb::json::Snapshot& snap,
+                                        const std::string& name) {
+    const std::string path = testing::TempDir() + name;
+    EXPECT_TRUE(sb::json::write_snapshot_csv(snap, path));
+    std::ifstream in(path);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    return lines;
+}
+
+// The stdout `CSV,` lines in `out`, prefix removed.
+std::vector<std::string> stdout_csv_rows(const std::string& out) {
+    std::vector<std::string> rows;
+    std::size_t pos = 0;
+    while (pos < out.size()) {
+        const std::size_t eol = out.find('\n', pos);
+        const std::string line = out.substr(pos, eol - pos);
+        pos = eol == std::string::npos ? out.size() : eol + 1;
+        if (line.rfind("CSV,", 0) == 0) rows.push_back(line.substr(4));
+    }
+    return rows;
+}
+
+// A tiny-budget context over SEC and TRB.
+sb::ScenarioContext tiny_context() {
+    sb::ScenarioContext ctx;
+    ctx.smoke = true;
+    ctx.env.duration_ms = 5;
+    ctx.env.runs = 1;
+    ctx.env.threads = {2};
+    ctx.env.prefill = 64;
+    ctx.algos = {sb::AlgorithmRegistry::instance().find("SEC"),
+                 sb::AlgorithmRegistry::instance().find("TRB")};
+    return ctx;
+}
+
+}  // namespace
 
 TEST(AlgorithmRegistry, DefaultColumnsAreTheSixCompetitorsInLegendOrder) {
     const std::vector<std::string> expected = {"CC",  "EB",  "FC",
@@ -108,20 +153,6 @@ TEST(Runner, ZeroThreadsIsGuardedNotDividedBy) {
         },
         cfg);
     EXPECT_EQ(erased.total_ops, 0u);
-}
-
-// The statically-typed compatibility path (bench_common.hpp) fills the same
-// table schema as the registry-driven series.
-TEST(BenchCommon, StaticRunSeriesMatchesTableSchema) {
-    sb::EnvConfig env;
-    env.threads = {2};
-    env.duration_ms = 10;
-    env.runs = 1;
-    env.prefill = 64;
-    sb::Table table("compat", sb::algorithm_columns());
-    sb::run_series<sec::TreiberStack<sb::Value>>(table, env, sec::kUpdateHeavy,
-                                                 "TRB");
-    EXPECT_EQ(table.name(), "compat");
 }
 
 TEST(AnyRunner, ThroughputRunsThroughTheErasedPath) {
@@ -241,7 +272,8 @@ TEST(SweepSpec, ValueListsAreSortedDedupedAndRangeChecked) {
         sb::SweepSpec::parse("backoff=0+281474976710656", &error).has_value());
 }
 
-// Golden schema for the sweep's long-form CSV: header row, then exactly
+// Golden schema for the sweep's long-form CSV (serialized from the run's
+// snapshot, as secbench --csv writes it): header row, then exactly
 // `table,key,column,value` with every (agg, backoff) combination present as
 // an `agg<A>_bo<B>` column plus the sweep_best summary rows.
 TEST(SweepEngine, CsvMatchesTheGoldenSchema) {
@@ -256,21 +288,18 @@ TEST(SweepEngine, CsvMatchesTheGoldenSchema) {
     ctx.env.threads = {2};
     ctx.env.prefill = 64;
     ctx.algos = {sb::AlgorithmRegistry::instance().find("SEC")};
-    std::FILE* csv = std::tmpfile();
-    ASSERT_NE(csv, nullptr);
-    sb::Table::write_csv_header(csv);
-    ctx.csv = csv;
+    sb::json::Snapshot snap;
+    ctx.json = &snap;
 
     EXPECT_EQ(sb::run_sweep(ctx, *spec), 0);
 
-    std::rewind(csv);
-    char line[256];
-    ASSERT_NE(std::fgets(line, sizeof line, csv), nullptr);
-    EXPECT_EQ(std::string(line), "table,key,column,value\n");
+    const std::vector<std::string> lines = csv_file_lines(snap, "sweep.csv");
+    ASSERT_FALSE(lines.empty());
+    EXPECT_EQ(lines[0] + "\n", "table,key,column,value\n");
     std::set<std::string> sweep_columns;
     std::set<std::string> tables;
-    while (std::fgets(line, sizeof line, csv) != nullptr) {
-        const std::string row(line);
+    for (std::size_t i = 1; i < lines.size(); ++i) {
+        const std::string row = lines[i] + "\n";
         // table,key,column,value — 3 commas, numeric value field.
         const auto c1 = row.find(',');
         const auto c2 = row.find(',', c1 + 1);
@@ -287,7 +316,6 @@ TEST(SweepEngine, CsvMatchesTheGoldenSchema) {
         EXPECT_TRUE(std::isdigit(static_cast<unsigned char>(value[0])))
             << row;
     }
-    std::fclose(csv);
     EXPECT_EQ(tables.size(), 2u);
     EXPECT_EQ(sweep_columns,
               (std::set<std::string>{"agg1_bo0", "agg1_bo64", "agg2_bo0",
@@ -343,4 +371,97 @@ TEST(ScenarioRegistry, Fig2RunsOnATinyBudget) {
     ctx.algos = {sb::AlgorithmRegistry::instance().find("SEC"),
                  sb::AlgorithmRegistry::instance().find("TRB")};
     EXPECT_EQ(sb::run_scenario("fig2", ctx), 0);
+}
+
+// The one sink: every row a run streams to stdout is a row of the --csv file
+// and vice versa. table1, latency and micro cover the table-less scenarios
+// (latency and reclamation used to print a wide stdout format of their own)
+// and micro's micro_prims table.
+TEST(ResultSink, StdoutCsvLinesEqualTheCsvFileRows) {
+    const sb::ScenarioContext ctx = tiny_context();
+    int rc = -1;
+    testing::internal::CaptureStdout();
+    const sb::json::Snapshot snap =
+        sb::run_scenarios({"table1", "latency", "micro"}, ctx, 1, rc);
+    const std::string out = testing::internal::GetCapturedStdout();
+    EXPECT_EQ(rc, 0);
+
+    const std::vector<std::string> printed = stdout_csv_rows(out);
+    std::vector<std::string> file = csv_file_lines(snap, "parity.csv");
+    ASSERT_FALSE(file.empty());
+    EXPECT_EQ(file.front(), "table,key,column,value");
+    file.erase(file.begin());
+    EXPECT_EQ(printed.size(), file.size());
+    EXPECT_EQ(std::multiset<std::string>(printed.begin(), printed.end()),
+              std::multiset<std::string>(file.begin(), file.end()));
+
+    std::set<std::string> tables;
+    for (const sb::json::Cell& c : snap.cells) tables.insert(c.table);
+    for (const char* t : {"table1", "latency_upd100", "micro_ops",
+                          "micro_prims"}) {
+        EXPECT_EQ(tables.count(t), 1u) << t;
+    }
+    // micro_prims: the four primitive columns at the one grid point, in ns
+    // (so the snapshot compare never gates them).
+    for (const char* col :
+         {"fai2_ns", "cas3_ns", "ebr_guard_ns", "ebr_retire_ns"}) {
+        const sb::json::Cell* c = snap.find("micro_prims", "2", col);
+        ASSERT_NE(c, nullptr) << col;
+        EXPECT_EQ(c->unit, "ns");
+        EXPECT_GT(c->value, 0.0) << col;
+        EXPECT_FALSE(sb::json::gated_unit(c->unit));
+    }
+}
+
+// Under repeats the files hold the per-cell median: each cell appears once
+// in the CSV, with the value the JSON snapshot records, and that value is
+// the median of what the passes streamed to stdout.
+TEST(ResultSink, RepeatedRunsWriteEachCellOnceWithTheJsonMedian) {
+    const sb::ScenarioContext ctx = tiny_context();
+    int rc = -1;
+    testing::internal::CaptureStdout();
+    const sb::json::Snapshot snap = sb::run_scenarios({"micro"}, ctx, 2, rc);
+    const std::string out = testing::internal::GetCapturedStdout();
+    EXPECT_EQ(rc, 0);
+
+    const std::string json_path = testing::TempDir() + "repeats.json";
+    ASSERT_TRUE(sb::json::write_snapshot(snap, json_path));
+    sb::json::Snapshot json;
+    ASSERT_TRUE(sb::json::read_snapshot(json_path, json));
+
+    // Row -> (identity, value); the value is the field after the 3rd comma.
+    const auto split = [](const std::string& row) {
+        const std::size_t c3 = row.rfind(',');
+        return std::make_pair(row.substr(0, c3),
+                              std::strtod(row.c_str() + c3 + 1, nullptr));
+    };
+    std::map<std::string, std::vector<double>> streamed;
+    for (const std::string& row : stdout_csv_rows(out)) {
+        const auto [id, value] = split(row);
+        streamed[id].push_back(value);
+    }
+
+    std::vector<std::string> file = csv_file_lines(snap, "repeats.csv");
+    ASSERT_FALSE(file.empty());
+    file.erase(file.begin());
+    EXPECT_EQ(file.size(), json.cells.size());
+    std::set<std::string> seen;
+    for (const std::string& row : file) {
+        const auto [id, value] = split(row);
+        EXPECT_TRUE(seen.insert(id).second) << "duplicate cell " << id;
+        const std::size_t c1 = id.find(',');
+        const std::size_t c2 = id.find(',', c1 + 1);
+        const sb::json::Cell* c =
+            json.find(id.substr(0, c1), id.substr(c1 + 1, c2 - c1 - 1),
+                      id.substr(c2 + 1));
+        ASSERT_NE(c, nullptr) << id;
+        EXPECT_EQ(row, sb::json::csv_line(c->table, c->key, c->column,
+                                          c->value));
+        // Both passes streamed the cell; the file holds their median (the
+        // mean of two), up to the 4-decimal rounding of the stdout rows.
+        const std::vector<double>& passes = streamed[id];
+        ASSERT_EQ(passes.size(), 2u) << id;
+        EXPECT_NEAR(value, (passes[0] + passes[1]) / 2, 2e-4) << id;
+    }
+    EXPECT_EQ(seen.size(), streamed.size());
 }

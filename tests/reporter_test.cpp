@@ -1,5 +1,6 @@
-// reporter_test.cpp — Table printing, CSV emission, and the duplicate-cell
-// warning (workload/reporter.hpp). A duplicate (threads, column) cell is
+// reporter_test.cpp — Table printing, the duplicate-cell warning
+// (workload/reporter.hpp), and how ScenarioContext::emit sends a table's
+// cells down the one result sink. A duplicate (threads, column) cell is
 // almost always a scenario bug; Table::add keeps last-write-wins for
 // backward compatibility but must say so once on stderr and count every
 // overwrite.
@@ -7,26 +8,33 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
+
+#include "workload/bench_json.hpp"
+#include "workload/registry.hpp"
 
 namespace sb = sec::bench;
 
 namespace {
 
-// Drain a tmpfile written by write_csv back into a string.
-std::string slurp_csv(const sb::Table& table) {
-    std::FILE* f = std::tmpfile();
-    EXPECT_NE(f, nullptr);
-    table.write_csv(f);
-    std::rewind(f);
-    std::string out;
-    char buf[256];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
-    std::fclose(f);
-    return out;
+// The `CSV,` lines ScenarioContext::emit streams to stdout for `table`, in
+// order (the grid lines it prints first are dropped).
+std::string emitted_csv(const sb::Table& table,
+                        sb::json::Snapshot* snap = nullptr) {
+    sb::ScenarioContext ctx;
+    ctx.json = snap;
+    testing::internal::CaptureStdout();
+    ctx.emit(table);
+    const std::string out = testing::internal::GetCapturedStdout();
+    std::istringstream lines(out);
+    std::string csv;
+    for (std::string line; std::getline(lines, line);) {
+        if (line.rfind("CSV,", 0) == 0) csv += line + "\n";
+    }
+    return csv;
 }
 
 TEST(TableTest, DistinctCellsDoNotWarn) {
@@ -54,7 +62,7 @@ TEST(TableTest, DuplicateCellWarnsOnceAndLastWriteWins) {
     EXPECT_EQ(err.find("duplicate cell"), err.rfind("duplicate cell")) << err;
 
     // Last write wins, matching the historical behaviour.
-    EXPECT_EQ(slurp_csv(t), "dup_tbl,2,A,3.0000\n");
+    EXPECT_EQ(emitted_csv(t), "CSV,dup_tbl,2,A,3.0000\n");
 }
 
 TEST(TableTest, SameColumnDifferentRowsIsNotADuplicate) {
@@ -72,21 +80,28 @@ TEST(TableTest, CsvRowsFollowGridOrderAndColumnOrder) {
     t.add(4, "A", 4.1);
     t.add(1, "B", 1.2);
     t.add(1, "A", 1.1);
-    EXPECT_EQ(slurp_csv(t),
-              "grid,1,B,1.2000\n"
-              "grid,1,A,1.1000\n"
-              "grid,4,A,4.1000\n");
+    EXPECT_EQ(emitted_csv(t),
+              "CSV,grid,1,B,1.2000\n"
+              "CSV,grid,1,A,1.1000\n"
+              "CSV,grid,4,A,4.1000\n");
 }
 
+// The --csv file is the snapshot the emitted cells landed in: a
+// `table,key,column,value` header, then the stdout rows without the prefix.
 TEST(TableTest, WriteCsvHeaderMatchesRowShape) {
-    std::FILE* f = std::tmpfile();
-    ASSERT_NE(f, nullptr);
-    sb::Table::write_csv_header(f);
-    std::rewind(f);
-    char buf[64] = {};
-    ASSERT_NE(std::fgets(buf, sizeof buf, f), nullptr);
-    std::fclose(f);
-    EXPECT_STREQ(buf, "table,key,column,value\n");
+    sb::Table t("shape", {"A"}, "Kops/s");
+    t.add(2, "A", 2.5);
+    sb::json::Snapshot snap;
+    EXPECT_EQ(emitted_csv(t, &snap), "CSV,shape,2,A,2.5000\n");
+    ASSERT_EQ(snap.cells.size(), 1u);
+    EXPECT_EQ(snap.cells[0].unit, "Kops/s");
+
+    const std::string path = testing::TempDir() + "reporter_shape.csv";
+    ASSERT_TRUE(sb::json::write_snapshot_csv(snap, path));
+    std::ifstream in(path);
+    std::stringstream file;
+    file << in.rdbuf();
+    EXPECT_EQ(file.str(), "table,key,column,value\nshape,2,A,2.5000\n");
 }
 
 TEST(TableTest, PrintAlignsColumnsAndDashesMissingCells) {
@@ -100,7 +115,7 @@ TEST(TableTest, PrintAlignsColumnsAndDashesMissingCells) {
 
     EXPECT_NE(out.find("== ptbl (Kops/s) =="), std::string::npos) << out;
     // Header and both rows use the same %-8s + %12s grid, so every line
-    // between the banner and the CSV block has identical length.
+    // after the banner has identical length.
     std::vector<std::string> grid_lines;
     std::size_t pos = 0;
     while (pos < out.size()) {
@@ -117,9 +132,13 @@ TEST(TableTest, PrintAlignsColumnsAndDashesMissingCells) {
     EXPECT_EQ(grid_lines[1].size(), grid_lines[2].size());
     // Missing cells print as '-'.
     EXPECT_NE(grid_lines[1].find('-'), std::string::npos);
-    // The machine-greppable CSV block rides along on stdout.
-    EXPECT_NE(out.find("CSV,ptbl,1,A,1.5000"), std::string::npos) << out;
-    EXPECT_NE(out.find("CSV,ptbl,8,B,2.5000"), std::string::npos) << out;
+    // print() is the grid alone; CSV rows are ScenarioContext's job.
+    EXPECT_EQ(out.find("CSV,"), std::string::npos) << out;
+
+    // Emitting the table streams the machine-greppable rows on stdout.
+    const std::string csv = emitted_csv(t);
+    EXPECT_NE(csv.find("CSV,ptbl,1,A,1.5000"), std::string::npos) << csv;
+    EXPECT_NE(csv.find("CSV,ptbl,8,B,2.5000"), std::string::npos) << csv;
 }
 
 TEST(TableTest, ForEachCellVisitsGridOrder) {

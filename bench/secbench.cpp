@@ -16,7 +16,6 @@
 
 #include "core/sharded_stack.hpp"
 #include "exec/topology.hpp"
-#include "net/event_loop.hpp"
 #include "workload/bench_json.hpp"
 #include "workload/registry.hpp"
 #include "workload/service.hpp"
@@ -65,9 +64,6 @@ int usage(std::FILE* out) {
                  "running secserve on\n"
                  "                     127.0.0.1:N instead of an in-process "
                  "server\n"
-                 "  --backend NAME     sec::net event backend: epoll | "
-                 "iouring (iouring\n"
-                 "                     needs a -DSEC_IOURING=ON build)\n"
                  "  --pin POLICY       worker placement: none | compact | "
                  "scatter | smt\n"
                  "                     (topology-aware cpu pinning; "
@@ -96,7 +92,7 @@ int usage(std::FILE* out) {
                  "  --paper            the paper's 5 s x 5-run methodology\n"
                  "environment: SEC_BENCH_DURATION_MS / _RUNS / _THREADS / "
                  "_PREFILL / _VALUE_RANGE / _SEED / _RECLAIM / _SHARDS / "
-                 "_LOAD / _ARRIVAL / _PORT / _BACKEND / _PIN / _COUNTERS / "
+                 "_LOAD / _ARRIVAL / _PORT / _PIN / _COUNTERS / "
                  "_PAPER\n");
     return out == stderr ? 2 : 0;
 }
@@ -117,18 +113,9 @@ int list_registries() {
     for (const sb::ReclaimerSpec* r : sb::ReclaimerRegistry::instance().all()) {
         std::printf("  %-18s %s\n", r->name.c_str(), r->description.c_str());
     }
-    std::printf("net backends (--backend / SEC_BENCH_BACKEND):\n");
-    for (const sec::net::BackendInfo& b : sec::net::backend_infos()) {
-        std::printf("  %-18s %.*s%s\n", std::string(b.name).c_str(),
-                    static_cast<int>(b.description.size()),
-                    b.description.data(),
-                    b.available ? "" : " [not in this build]");
-    }
     std::printf(
         "net env: SEC_BENCH_PORT (net_service/secserve target port; 0 or\n"
-        "unset = in-process server on an ephemeral port), SEC_BENCH_BACKEND\n"
-        "(event backend name, whole-value-or-nothing like every other "
-        "knob)\n");
+        "unset = in-process server on an ephemeral port)\n");
     return 0;
 }
 
@@ -176,7 +163,6 @@ int main(int argc, char** argv) {
     double load_kops = 0;
     const char* arrival = nullptr;
     long long port = -1;  // -1 = not given (0 is a valid "in-process" value)
-    const char* backend = nullptr;
     const char* pin = nullptr;
     bool smoke = false;
     bool run_all = false;
@@ -294,15 +280,6 @@ int main(int argc, char** argv) {
                 return 2;
             }
             port = parsed;
-        } else if (std::strcmp(arg, "--backend") == 0) {
-            backend = next_value(i, arg);
-            if (!sec::net::backend_known(backend)) {
-                std::fprintf(stderr,
-                             "secbench: --backend '%s' must be epoll or "
-                             "iouring\n",
-                             backend);
-                return 2;
-            }
         } else if (std::strcmp(arg, "--pin") == 0) {
             // Strict like --shards: a typo must not silently run unpinned
             // and masquerade as a placement measurement.
@@ -402,10 +379,9 @@ int main(int argc, char** argv) {
         }
     }
     if (arrival != nullptr) ctx.arrival = arrival;
-    // SEC_BENCH_PORT / SEC_BENCH_BACKEND already sit in ctx.env (strict
-    // parsing with loud warnings in EnvConfig::load); flags override.
+    // SEC_BENCH_PORT already sits in ctx.env (strict parsing with a loud
+    // warning in EnvConfig::load); the flag overrides.
     if (port >= 0) ctx.env.port = static_cast<unsigned>(port);
-    if (backend != nullptr) ctx.env.backend = backend;
     if (smoke) {
         // Tiny budget: every scenario exercised, nothing measured seriously.
         ctx.env.duration_ms = 25;

@@ -1,28 +1,25 @@
 // net/server.hpp — SecServer, the socket front-end that turns a
 // registry-built stack into a servable system (DESIGN.md §11).
 //
-// One event-loop thread owns every socket and the stack handle. Each
-// EventBackend::wait() batch is drained completely — every readable
-// connection read to EAGAIN, every complete frame decoded and applied to
-// the stack, every response appended to the connection's write buffer —
-// before the next wait. The readiness batch therefore becomes the unit of
-// work exactly the way an aggregator batch is in the paper: the kernel
-// crossing (epoll_wait / io_uring_enter) is amortized over every request
-// it surfaced, and responses flush as one writev-sized burst per
-// connection per batch.
+// One event-loop thread owns every socket, the epoll instance and the
+// stack handle. Each epoll_wait() batch is drained completely — every
+// readable connection read to EAGAIN, every complete frame decoded and
+// applied to the stack, every response appended to the connection's write
+// buffer — before the next wait. The readiness batch therefore becomes the
+// unit of work exactly the way an aggregator batch is in the paper: the
+// kernel crossing is amortized over every request it surfaced, and
+// responses flush as one send() burst per connection per batch.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "core/stack_concept.hpp"
 #include "exec/worker_pool.hpp"
-#include "net/event_loop.hpp"
 #include "net/protocol.hpp"
 
 namespace sec::net {
@@ -30,7 +27,6 @@ namespace sec::net {
 struct ServerConfig {
     std::string host = "127.0.0.1";
     std::uint16_t port = 0;  // 0 = ephemeral; read the bound port via port()
-    std::string backend{};   // "" = "epoll"; see make_event_backend
     // Event-loop placement (`secserve --pin`): the loop thread runs as a
     // single-worker exec pool, so it takes the first cpu of the policy's
     // plan. kNone = unpinned, the historical behaviour.
@@ -45,7 +41,7 @@ struct ServerStats {
     std::uint64_t pushes = 0;     // kPushReq handled
     std::uint64_t pops = 0;       // kPopReq handled, value returned
     std::uint64_t empties = 0;    // kPopReq handled, stack empty
-    std::uint64_t batches = 0;    // wait() batches that carried work
+    std::uint64_t batches = 0;    // epoll_wait() batches that carried work
     std::uint64_t max_batch = 0;  // most requests drained in one batch
 };
 
@@ -60,7 +56,8 @@ public:
     SecServer& operator=(const SecServer&) = delete;
 
     // Bind + listen + spawn the loop thread. False (with a one-line reason)
-    // on bad backend names, bind failures, or backend setup failures.
+    // on a bad address or a failed socket, bind or epoll setup; every fd
+    // opened on the way is closed again.
     bool start(std::string* err);
     // Graceful shutdown: wake the loop, drain nothing further, close every
     // socket, join. Idempotent.
@@ -68,7 +65,6 @@ public:
 
     // The bound port (resolves an ephemeral request); valid after start().
     std::uint16_t port() const noexcept { return bound_port_; }
-    std::string_view backend_name() const noexcept;
 
     ServerStats stats() const;
 
@@ -91,9 +87,9 @@ private:
 
     AnyStack stack_;
     ServerConfig cfg_;
-    std::unique_ptr<EventBackend> backend_;
+    int epoll_fd_ = -1;
     int listen_fd_ = -1;
-    int wake_fd_ = -1;  // eventfd: stop() pokes the blocked wait()
+    int wake_fd_ = -1;  // eventfd: stop() pokes the blocked epoll_wait()
     std::uint16_t bound_port_ = 0;
     std::unordered_map<int, Conn> conns_;
     // Single-worker pool instead of a bare std::thread: the loop thread is

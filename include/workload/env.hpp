@@ -12,8 +12,6 @@
 //   SEC_BENCH_PORT         sec::net TCP port (net_service / secserve);
 //                          0 or unset = in-process server on an ephemeral
 //                          port
-//   SEC_BENCH_BACKEND      sec::net event backend: "epoll" (default) or
-//                          "iouring" (-DSEC_IOURING=ON builds)
 //   SEC_BENCH_PIN          worker placement policy: "none" (default),
 //                          "compact", "scatter", or "smt" — see
 //                          exec/topology.hpp
@@ -24,8 +22,8 @@
 // Values that don't parse as clean unsigned integers (trailing junk, signs,
 // "abc") are rejected with a stderr warning and the default kept — never
 // silently read as 0 or a truncated prefix. The same whole-value-or-nothing
-// policy covers SEC_BENCH_BACKEND: an unknown backend name warns and keeps
-// the default instead of silently measuring a different event loop.
+// policy covers SEC_BENCH_PORT and SEC_BENCH_PIN: an out-of-range port or
+// an unknown policy name warns and keeps the default.
 #pragma once
 
 #include <cstddef>
@@ -43,10 +41,9 @@ struct EnvConfig {
     std::size_t prefill = 1000;  // the paper's prefill
     std::size_t value_range = std::size_t{1} << 20;
     std::uint64_t seed = 0;  // base for per-worker RNG seeds (0 = legacy)
-    // sec::net knobs (SEC_BENCH_PORT / SEC_BENCH_BACKEND). port 0 = "no
-    // external server": net_service spawns its own on an ephemeral port.
+    // sec::net port (SEC_BENCH_PORT). 0 = "no external server":
+    // net_service spawns its own on an ephemeral port.
     unsigned port = 0;
-    std::string backend{};  // "" = the default backend ("epoll")
     // Placement policy name (SEC_BENCH_PIN / --pin), pre-validated against
     // topo::parse_pin_policy. "" = "none" = unpinned.
     std::string pin{};

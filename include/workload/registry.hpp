@@ -54,8 +54,16 @@ struct StackParams {
 // A Config honouring StackParams: an explicit config wins; otherwise the
 // default Config sized to the run's thread bound. Aggregators never exceed
 // max_threads. Shared by the built-in factories (src/registry.cpp) and the
-// sharded variants (src/shard.cpp) so the two can never drift.
-Config effective_stack_config(const StackParams& p);
+// sharded variants (src/shard.cpp) so the two can never drift. Inline, so
+// a program that builds its own stack from it links none of the registries.
+inline Config effective_stack_config(const StackParams& p) {
+    Config cfg = p.config != nullptr ? *p.config : Config{};
+    if (p.config == nullptr) cfg.max_threads = tid_bound(p.threads);
+    cfg.max_threads =
+        std::min(std::max<std::size_t>(cfg.max_threads, 1), kMaxThreads);
+    cfg.num_aggregators = std::min(cfg.num_aggregators, cfg.max_threads);
+    return cfg;
+}
 
 struct AlgoSpec {
     std::string name;         // legend name ("SEC", "TRB@hp"), the Table column

@@ -10,7 +10,6 @@
 
 #include "core/common.hpp"
 #include "exec/topology.hpp"
-#include "net/event_loop.hpp"
 
 namespace sec::bench {
 namespace {
@@ -144,10 +143,9 @@ EnvConfig EnvConfig::load() {
     if (cfg.threads.empty()) cfg.threads = {2, 4, 8};
     clamp_thread_grid(cfg.threads, "SEC_BENCH_THREADS");
 
-    // sec::net knobs. Same whole-value-or-nothing policy as the grids: a
-    // port that isn't a clean integer in [0, 65535] or a backend name the
-    // build doesn't know warns loudly and keeps the default — it must never
-    // silently connect elsewhere or measure a different event loop.
+    // sec::net port. Same whole-value-or-nothing policy as the grids: a
+    // port that isn't a clean integer in [0, 65535] warns loudly and keeps
+    // the default — it must never silently connect elsewhere.
     if (const char* v = get_env("SEC_BENCH_PORT"); v != nullptr && *v) {
         std::uint64_t parsed = 0;
         if (!parse_u64_strict(v, parsed) || parsed > 65535) {
@@ -157,16 +155,6 @@ EnvConfig EnvConfig::load() {
                          v, cfg.port);
         } else {
             cfg.port = static_cast<unsigned>(parsed);
-        }
-    }
-    if (const char* v = get_env("SEC_BENCH_BACKEND"); v != nullptr && *v) {
-        if (!net::backend_known(v)) {
-            std::fprintf(stderr,
-                         "secbench: ignoring SEC_BENCH_BACKEND='%s' (known "
-                         "backends: epoll, iouring); using the default\n",
-                         v);
-        } else {
-            cfg.backend = v;
         }
     }
     if (const char* v = get_env("SEC_BENCH_PIN"); v != nullptr && *v) {

@@ -234,15 +234,6 @@ void register_builtin_reclaimers(ReclaimerRegistry& reg) {
 
 }  // namespace
 
-Config effective_stack_config(const StackParams& p) {
-    Config cfg = p.config != nullptr ? *p.config : Config{};
-    if (p.config == nullptr) cfg.max_threads = tid_bound(p.threads);
-    cfg.max_threads =
-        std::min(std::max<std::size_t>(cfg.max_threads, 1), kMaxThreads);
-    cfg.num_aggregators = std::min(cfg.num_aggregators, cfg.max_threads);
-    return cfg;
-}
-
 // ---- AlgorithmRegistry -----------------------------------------------------
 
 AlgorithmRegistry::AlgorithmRegistry() {

@@ -962,7 +962,6 @@ int net_service(const ScenarioContext& ctx) {
                 StackParams params;
                 params.threads = 2;  // the event loop is the only stack user
                 net::ServerConfig scfg;
-                scfg.backend = ctx.env.backend;
                 scfg.pin = topo::parse_pin_policy(ctx.env.pin)
                                .value_or(topo::PinPolicy::kNone);
                 server.emplace(a->make(params), scfg);

@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -17,7 +18,6 @@
 #include <unistd.h>
 
 #include "net/client.hpp"
-#include "net/event_loop.hpp"
 #include "net/protocol.hpp"
 #include "net/server.hpp"
 #include "workload/registry.hpp"
@@ -306,43 +306,49 @@ TEST(NetLoopback, DriverSchedulesAreDeterministicInTheSeed) {
     server.stop();
 }
 
-TEST(NetLoopback, BackendRegistryRejectsUnknownNames) {
-    EXPECT_TRUE(backend_known("epoll"));
-    EXPECT_TRUE(backend_known("iouring"));
-    EXPECT_FALSE(backend_known("kqueue"));
-    EXPECT_TRUE(backend_available("epoll"));
-
-    std::string err;
-    EXPECT_EQ(make_event_backend("kqueue", &err), nullptr);
-    EXPECT_FALSE(err.empty());
-
-    auto epoll = make_event_backend("", &err);
-    ASSERT_NE(epoll, nullptr) << err;
-    EXPECT_EQ(epoll->name(), "epoll");
+// Open descriptors of this process, so a failed start() can be checked
+// for leaking the epoll, listen or wake fd it opened on the way.
+std::size_t open_fds() {
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/fd")) {
+        ++n;
+    }
+    return n;
 }
 
-// The iouring path: exercised when the build carries it AND the kernel
-// lets this process set up a ring; skipped (loudly) otherwise so the same
-// test source passes on every configuration.
-TEST(NetLoopback, IoUringBackendServesWhenAvailable) {
-    if (!backend_available("iouring")) {
-        GTEST_SKIP() << "iouring backend not in this build "
-                        "(-DSEC_IOURING=ON)";
-    }
+TEST(NetLoopback, FailedStartsCloseEveryFd) {
+    SecServer first(make_stack(), ServerConfig{});
     std::string err;
-    auto probe = make_event_backend("iouring", &err);
-    if (probe == nullptr) {
-        GTEST_SKIP() << "io_uring unavailable at runtime: " << err;
+    ASSERT_TRUE(first.start(&err)) << err;
+
+    {
+        ServerConfig taken;
+        taken.port = first.port();
+        SecServer second(make_stack(), taken);
+        const std::size_t before = open_fds();
+        EXPECT_FALSE(second.start(&err));
+        EXPECT_NE(err.find("bind"), std::string::npos) << err;
+        EXPECT_EQ(open_fds(), before);
+        second.stop();  // after a failed start: a no-op, then destruction
     }
-    probe.reset();
+    {
+        ServerConfig bad_host;
+        bad_host.host = "not-an-ip";
+        SecServer third(make_stack(), bad_host);
+        err.clear();
+        const std::size_t before = open_fds();
+        EXPECT_FALSE(third.start(&err));
+        EXPECT_FALSE(err.empty());
+        EXPECT_EQ(open_fds(), before);
+        // Destroyed without an explicit stop().
+    }
+    first.stop();
 
-    ServerConfig scfg;
-    scfg.backend = "iouring";
-    SecServer server(make_stack(), scfg);
-    ASSERT_TRUE(server.start(&err)) << err;
-
+    SecServer fresh(make_stack(), ServerConfig{});
+    ASSERT_TRUE(fresh.start(&err)) << err;
     SyncClient client;
-    ASSERT_TRUE(client.connect_to(server.port()));
+    ASSERT_TRUE(client.connect_to(fresh.port()));
     Message req, resp;
     req.type = MsgType::kPushReq;
     req.tag = 4;
@@ -355,8 +361,7 @@ TEST(NetLoopback, IoUringBackendServesWhenAvailable) {
     ASSERT_TRUE(client.roundtrip(req, resp));
     EXPECT_TRUE(resp.ok);
     EXPECT_EQ(resp.value, 123u);
-
-    server.stop();
+    fresh.stop();
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <optional>
 
@@ -50,27 +51,11 @@ public:
     ElimPool& operator=(const ElimPool&) = delete;
 
     bool insert(const V& v) {
-        (void)aggs_.execute(
-            Aggs::kOpPush, v,
-            [this](std::size_t a, const V* vals, std::size_t n) {
-                detail::spine_push_chain(spines_[a].top, vals, n);
-            },
-            [this](std::size_t a, V* out, std::size_t n) {
-                return pop_any(a, out, n);
-            });
+        (void)apply(Aggs::kOpPush, v);
         return true;
     }
 
-    std::optional<V> extract() {
-        return aggs_.execute(
-            Aggs::kOpPop, V{},
-            [this](std::size_t a, const V* vals, std::size_t n) {
-                detail::spine_push_chain(spines_[a].top, vals, n);
-            },
-            [this](std::size_t a, V* out, std::size_t n) {
-                return pop_any(a, out, n);
-            });
-    }
+    std::optional<V> extract() { return apply(Aggs::kOpPop, V{}); }
 
     // Reclamation hooks the workload runner drives (see runner.hpp).
     void quiesce() { domain_->quiesce(); }
@@ -85,15 +70,27 @@ private:
         std::atomic<detail::SpineNode<V>*> top{nullptr};
     };
 
+    // One op through the aggregators; aggregator a's leftover runs hit its
+    // own spine.
+    std::optional<V> apply(std::uint32_t op, const V& v) {
+        return aggs_.execute(
+            op, v,
+            [this](std::size_t a, const V* vals, std::size_t n) {
+                detail::spine_push_chain(spines_[a].top, vals, n);
+            },
+            [this](std::size_t a, V* out, std::size_t n) {
+                return pop_any(a, out, n);
+            });
+    }
+
     // Pop up to n values, preferring the local spine, then stealing.
     std::size_t pop_any(std::size_t a, V* out, std::size_t n) {
-        typename R::Guard guard(*domain_);
-        std::size_t got = detail::spine_pop_chain(spines_[a].top, guard, out,
-                                                  n);
+        std::size_t got =
+            detail::spine_pop_chain(spines_[a].top, *domain_, out, n);
         const std::size_t k = aggs_.num_aggregators();
         for (std::size_t step = 1; got < n && step < k; ++step) {
             got += detail::spine_pop_chain(spines_[(a + step) % k].top,
-                                           guard, out + got, n - got);
+                                           *domain_, out + got, n - got);
         }
         return got;
     }

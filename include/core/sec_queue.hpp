@@ -21,6 +21,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <optional>
 
 #include "core/aggregator.hpp"
@@ -54,29 +55,11 @@ public:
     SecQueue& operator=(const SecQueue&) = delete;
 
     bool put(const V& v) {
-        (void)aggs_.execute(
-            Aggs::kOpPush, v,
-            [this](std::size_t, const V* vals, std::size_t n) {
-                detail::fifo_put_chain(tail_, vals, n);
-            },
-            [this](std::size_t, V* out, std::size_t n) {
-                typename R::Guard guard(*domain_);
-                return detail::fifo_take_chain(head_, guard, out, n);
-            });
+        (void)apply(Aggs::kOpPush, v);
         return true;
     }
 
-    std::optional<V> take() {
-        return aggs_.execute(
-            Aggs::kOpPop, V{},
-            [this](std::size_t, const V* vals, std::size_t n) {
-                detail::fifo_put_chain(tail_, vals, n);
-            },
-            [this](std::size_t, V* out, std::size_t n) {
-                typename R::Guard guard(*domain_);
-                return detail::fifo_take_chain(head_, guard, out, n);
-            });
-    }
+    std::optional<V> take() { return apply(Aggs::kOpPop, V{}); }
 
     // Front element (what take() would return).
     std::optional<V> peek() const {
@@ -109,6 +92,19 @@ private:
     static Config fifo_config(Config cfg) {
         cfg.eliminate = false;
         return cfg;
+    }
+
+    // One op through the aggregators; leftover runs hit the FIFO spine.
+    std::optional<V> apply(std::uint32_t op, const V& v) {
+        return aggs_.execute(
+            op, v,
+            [this](std::size_t, const V* vals, std::size_t n) {
+                detail::fifo_put_chain(tail_, vals, n);
+            },
+            [this](std::size_t, V* out, std::size_t n) {
+                typename R::Guard guard(*domain_);
+                return detail::fifo_take_chain(head_, guard, out, n);
+            });
     }
 
     Aggs aggs_;

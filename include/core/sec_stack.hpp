@@ -20,6 +20,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <optional>
 
 #include "core/aggregator.hpp"
@@ -48,29 +49,11 @@ public:
     SecStack& operator=(const SecStack&) = delete;
 
     bool push(const V& v) {
-        (void)aggs_.execute(
-            Aggs::kOpPush, v,
-            [this](std::size_t, const V* vals, std::size_t n) {
-                detail::spine_push_chain(top_, vals, n);
-            },
-            [this](std::size_t, V* out, std::size_t n) {
-                typename R::Guard guard(*domain_);
-                return detail::spine_pop_chain(top_, guard, out, n);
-            });
+        (void)apply(Aggs::kOpPush, v);
         return true;
     }
 
-    std::optional<V> pop() {
-        return aggs_.execute(
-            Aggs::kOpPop, V{},
-            [this](std::size_t, const V* vals, std::size_t n) {
-                detail::spine_push_chain(top_, vals, n);
-            },
-            [this](std::size_t, V* out, std::size_t n) {
-                typename R::Guard guard(*domain_);
-                return detail::spine_pop_chain(top_, guard, out, n);
-            });
-    }
+    std::optional<V> pop() { return apply(Aggs::kOpPop, V{}); }
 
     std::optional<V> peek() const {
         typename R::Guard guard(*domain_);
@@ -92,6 +75,18 @@ public:
 
 private:
     using Aggs = detail::AggregatorSet<V>;
+
+    // One op through the aggregators; leftover runs hit the spine.
+    std::optional<V> apply(std::uint32_t op, const V& v) {
+        return aggs_.execute(
+            op, v,
+            [this](std::size_t, const V* vals, std::size_t n) {
+                detail::spine_push_chain(top_, vals, n);
+            },
+            [this](std::size_t, V* out, std::size_t n) {
+                return detail::spine_pop_chain(top_, *domain_, out, n);
+            });
+    }
 
     Aggs aggs_;
     reclaim::DomainRef<R> domain_;

@@ -37,9 +37,8 @@ public:
     }
 
     std::optional<V> pop() {
-        typename R::Guard guard(*domain_);
         V out;
-        return detail::spine_pop_chain(top_, guard, &out, 1) == 1
+        return detail::spine_pop_chain(top_, *domain_, &out, 1) == 1
                    ? std::optional<V>(out)
                    : std::nullopt;
     }

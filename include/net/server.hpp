@@ -70,7 +70,11 @@ public:
 
 private:
     struct Conn {
-        std::vector<std::uint8_t> in;
+        // Unread input: bytes [0, in_len) of `in`. A plain array, so a
+        // read() into its spare capacity zero-fills nothing first.
+        std::unique_ptr<std::uint8_t[]> in;
+        std::size_t in_cap = 0;
+        std::size_t in_len = 0;
         std::vector<std::uint8_t> out;
         std::size_t out_off = 0;     // bytes of `out` already written
         bool want_write = false;     // registered with write interest

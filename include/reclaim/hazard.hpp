@@ -68,7 +68,7 @@ public:
         }
 
         // Raw announcement for walk steps whose validity the caller proves
-        // separately (spine_pop_chain revalidates the anchor after this).
+        // separately (spine_detach_chain revalidates the anchor after this).
         template <class T>
         void publish(unsigned slot, T* p) noexcept {
             d_.slots_[id_].hp[slot].store(

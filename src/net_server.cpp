@@ -13,8 +13,11 @@
 // below.
 #include "net/server.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <memory>
+#include <utility>
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -34,6 +37,18 @@ constexpr std::size_t kReadChunk = 16 * 1024;
 // behind pathologically (the protocol is request/response with tiny
 // frames); drop it rather than buffer without bound.
 constexpr std::size_t kMaxOutBuffer = 4 * 1024 * 1024;
+
+// Grow a connection's input array so at least kReadChunk bytes are free
+// after its `len` unread ones. A connection grows it once, unless a single
+// drain reads past what it holds.
+void grow_input(std::unique_ptr<std::uint8_t[]>& buf, std::size_t& cap,
+                std::size_t len) {
+    const std::size_t want = std::max(cap * 2, len + kReadChunk);
+    auto bigger = std::make_unique_for_overwrite<std::uint8_t[]>(want);
+    if (len > 0) std::memcpy(bigger.get(), buf.get(), len);
+    buf = std::move(bigger);
+    cap = want;
+}
 
 bool set_nonblocking(int fd) {
     const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -222,14 +237,15 @@ bool SecServer::conn_readable(int fd, Conn& conn,
     // anyway, but draining keeps the whole readiness batch's requests inside
     // this aggregation window.
     for (;;) {
-        const std::size_t old = conn.in.size();
-        conn.in.resize(old + kReadChunk);
-        const ssize_t n = ::read(fd, conn.in.data() + old, kReadChunk);
+        if (conn.in_cap - conn.in_len < kReadChunk) {
+            grow_input(conn.in, conn.in_cap, conn.in_len);
+        }
+        const ssize_t n = ::read(fd, conn.in.get() + conn.in_len,
+                                 conn.in_cap - conn.in_len);
         if (n > 0) {
-            conn.in.resize(old + static_cast<std::size_t>(n));
+            conn.in_len += static_cast<std::size_t>(n);
             continue;
         }
-        conn.in.resize(old);
         if (n == 0) return false;  // EOF
         if (errno == EINTR) continue;
         if (errno == EAGAIN || errno == EWOULDBLOCK) break;
@@ -238,17 +254,20 @@ bool SecServer::conn_readable(int fd, Conn& conn,
 
     // Decode and apply every complete frame.
     std::size_t off = 0;
-    while (off < conn.in.size()) {
+    while (off < conn.in_len) {
         Message req;
         const DecodeResult r =
-            decode(conn.in.data() + off, conn.in.size() - off, req);
+            decode(conn.in.get() + off, conn.in_len - off, req);
         if (r.status == DecodeStatus::kNeedMore) break;
         if (r.status == DecodeStatus::kError) return false;
         off += r.consumed;
         apply(req, conn);
         ++batch_requests;
     }
-    if (off > 0) conn.in.erase(conn.in.begin(), conn.in.begin() + off);
+    if (off > 0) {
+        conn.in_len -= off;
+        std::memmove(conn.in.get(), conn.in.get() + off, conn.in_len);
+    }
     return conn.out.size() - conn.out_off <= kMaxOutBuffer;
 }
 

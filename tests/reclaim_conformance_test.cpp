@@ -12,6 +12,10 @@
 #include <cstdint>
 #include <vector>
 
+#include <string>
+
+#include "container_checkers.hpp"
+#include "core/spine.hpp"
 #include "exec/worker_pool.hpp"
 #include "reclaim/reclaim.hpp"
 #include "sec.hpp"
@@ -274,6 +278,163 @@ TYPED_TEST(ReclaimConformanceTest, QueueChurnIsSafeAndConserving) {
         const rc::Stats s = domain.stats();
         EXPECT_EQ(s.retired, s.freed + s.in_limbo());
     }
+}
+
+// The ABA oracle for recycled spine nodes. Popped nodes return to the node
+// cache through the reclaimer, so a node is pushed again only once no pop
+// can still hold it. On a stack kept 0-2 deep, every pop races pushes onto
+// the very nodes it is unlinking: a node reused while a pop still held it
+// lets that pop's CAS succeed against a stale `next`, and a token is lost
+// or popped twice. `depth` counts pushes begun minus pops done, so it never
+// reads below the stack's size.
+template <class S>
+void shallow_churn(S& stack) {
+    constexpr unsigned kThreads = 4;
+    constexpr std::uint32_t kOps = 50000;
+    std::atomic<int> depth{0};
+    std::vector<std::vector<sec::testing::Value>> pushed(kThreads);
+    std::vector<std::vector<sec::testing::Value>> popped(kThreads);
+    sec::exec::WorkerPool::run(kThreads, [&](sec::exec::WorkerContext& wc) {
+        const unsigned t = wc.index;
+        sec::Xoshiro256 rng((t + 1) * 0x9E3779B97F4A7C15ull);
+        std::uint32_t seq = 0;
+        for (std::uint32_t i = 0; i < kOps; ++i) {
+            stack.quiesce();
+            if (rng.next_below(2) == 0) {
+                if (depth.fetch_add(1) < 2) {
+                    const sec::testing::Value v = sec::testing::tag(t, seq++);
+                    stack.push(v);
+                    pushed[t].push_back(v);
+                } else {
+                    depth.fetch_sub(1);
+                }
+            } else if (auto v = stack.pop()) {
+                depth.fetch_sub(1);
+                popped[t].push_back(*v);
+            }
+        }
+        stack.reclaim_offline();
+    });
+    std::vector<sec::testing::Value> all_pushed, all_popped;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        all_pushed.insert(all_pushed.end(), pushed[t].begin(),
+                          pushed[t].end());
+        all_popped.insert(all_popped.end(), popped[t].begin(),
+                          popped[t].end());
+    }
+    while (auto v = stack.pop()) all_popped.push_back(*v);
+    sec::testing::expect_same_multiset(all_pushed, all_popped);
+}
+
+TYPED_TEST(ReclaimConformanceTest, ShallowStackChurnConservesTokens) {
+    using R = TypeParam;
+    using Value = sec::testing::Value;
+    {
+        R domain;
+        sec::TreiberStack<Value, R> trb(16, domain);
+        shallow_churn(trb);
+    }
+    {
+        R domain;
+        sec::Config cfg;
+        cfg.max_threads = 16;
+        sec::SecStack<Value, R> sec_stack(cfg, domain);
+        shallow_churn(sec_stack);
+    }
+}
+
+// Short-lived threads leave nodes in their magazines, in the depot and in
+// the reclaimer's limbo. Pushers and poppers are different threads, so
+// nodes cross threads through the depot. Destroying the stack and then the
+// domain afterwards must neither leak (LeakSanitizer) nor touch a node
+// after it was freed (AddressSanitizer, ThreadSanitizer).
+TYPED_TEST(ReclaimConformanceTest, NodeCacheSurvivesThreadExitAndTeardown) {
+    using R = TypeParam;
+    using Value = sec::testing::Value;
+    constexpr unsigned kRounds = 20;
+    constexpr unsigned kThreads = 4;
+    constexpr std::uint32_t kPerThread = 300;
+    std::vector<Value> all_pushed, all_popped;
+    {
+        R domain;
+        sec::Config cfg;
+        cfg.max_threads = 16;
+        sec::SecStack<Value, R> stack(cfg, domain);
+        for (unsigned round = 0; round < kRounds; ++round) {
+            std::vector<std::vector<Value>> pushed(kThreads);
+            std::vector<std::vector<Value>> popped(kThreads);
+            sec::exec::WorkerPool::run(
+                kThreads, [&](sec::exec::WorkerContext& wc) {
+                    const unsigned t = wc.index;
+                    for (std::uint32_t i = 0; i < kPerThread; ++i) {
+                        stack.quiesce();
+                        if (t % 2 == 0) {
+                            const Value v = sec::testing::tag(
+                                t, round * kPerThread + i);
+                            stack.push(v);
+                            pushed[t].push_back(v);
+                        } else if (auto v = stack.pop()) {
+                            popped[t].push_back(*v);
+                        }
+                    }
+                    stack.reclaim_offline();
+                });
+            for (unsigned t = 0; t < kThreads; ++t) {
+                all_pushed.insert(all_pushed.end(), pushed[t].begin(),
+                                  pushed[t].end());
+                all_popped.insert(all_popped.end(), popped[t].begin(),
+                                  popped[t].end());
+            }
+        }
+        // Pop half of what is left; the destructor frees the rest.
+        for (std::size_t left = (all_pushed.size() - all_popped.size()) / 2;
+             left > 0; --left) {
+            auto v = stack.pop();
+            ASSERT_TRUE(v.has_value());
+            all_popped.push_back(*v);
+        }
+    }
+    // Every token popped was pushed, and none came out twice.
+    std::sort(all_pushed.begin(), all_pushed.end());
+    std::sort(all_popped.begin(), all_popped.end());
+    EXPECT_EQ(std::adjacent_find(all_popped.begin(), all_popped.end()),
+              all_popped.end());
+    EXPECT_TRUE(std::includes(all_pushed.begin(), all_pushed.end(),
+                              all_popped.begin(), all_popped.end()));
+}
+
+// A thread that recycles more nodes than the caches hold fills the depot to
+// its bound and hands the rest back to the heap.
+TEST(SpineNodeCache, DepotStaysBounded) {
+    using Value = sec::testing::Value;
+    using Cache = sec::detail::SpineNodeCache<Value>;
+    constexpr std::size_t kNodes = (Cache::kDepotMagazines + 8) *
+                                   Cache::kMagazine;
+    rc::EpochDomain domain;
+    sec::TreiberStack<Value> stack(1, domain);
+    sec::exec::WorkerPool::run(1, [&](sec::exec::WorkerContext&) {
+        for (Value v = 0; v < kNodes; ++v) stack.push(v);
+        for (Value v = 0; v < kNodes; ++v) ASSERT_TRUE(stack.pop());
+        domain.drain_all();  // every deleter runs on this thread
+        EXPECT_EQ(domain.stats().in_limbo(), 0u);
+    });
+    EXPECT_EQ(Cache::depot_magazines(), Cache::kDepotMagazines);
+}
+
+// A value with a destructor bypasses the cache: its nodes keep new/delete,
+// so the value's destructor runs exactly once per node.
+TEST(SpineNodeCache, NonTrivialValuesUseTheHeap) {
+    static_assert(!sec::detail::kCachedNode<std::string>);
+    rc::EpochDomain domain;
+    {
+        sec::TreiberStack<std::string> stack(4, domain);
+        for (int i = 0; i < 1000; ++i) {
+            stack.push(std::string(64, static_cast<char>('a' + i % 26)));
+        }
+        for (int i = 0; i < 500; ++i) ASSERT_TRUE(stack.pop().has_value());
+    }
+    domain.drain_all();
+    EXPECT_EQ(domain.stats().in_limbo(), 0u);
 }
 
 // The registry's cross-product covers >= 4 schemes x >= 2 algorithms, every
